@@ -20,12 +20,11 @@ fine structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import matroid as mt
 from .errors import FanError, MatroidError
-from .intlinalg import det, solve
+from .intlinalg import solve
 
 
 @dataclass(frozen=True)
@@ -34,6 +33,10 @@ class Basis:
 
     Element i of a matroid on {0, ..., N} gets the direction u_i, a flat I
     the direction u_I = sum over i in I of u_i.
+
+    The integer inverse of the matrix with columns u_i and the vector u0 are
+    computed once, here; they are not fields, so equality and hashing see
+    only the vectors.
     """
 
     vectors: tuple
@@ -44,16 +47,21 @@ class Basis:
         n = len(vecs)
         if n == 0 or any(len(v) != n for v in vecs):
             raise FanError("basis must be square")
-        if abs(det([[vecs[j][k] for j in range(n)] for k in range(n)])) != 1:
+        # column j of the inverse solves A x = e_j; the inverse is integral
+        # exactly when |det A| = 1, since det A * det A^-1 = 1 in ZZ
+        cols = [[vecs[j][k] for j in range(n)] for k in range(n)]
+        inv_cols = [solve(cols, [int(i == j) for i in range(n)]) for j in range(n)]
+        if any(c is None or any(x.denominator != 1 for x in c) for c in inv_cols):
             raise FanError("basis must be unimodular")
+        inverse = tuple(tuple(int(c[i]) for c in inv_cols) for i in range(n))
+        object.__setattr__(self, "_inverse", inverse)
+        object.__setattr__(
+            self, "u0", tuple(-sum(v[k] for v in vecs) for k in range(n))
+        )
 
     @property
     def dim(self):
         return len(self.vectors)
-
-    @property
-    def u0(self):
-        return tuple(-sum(v[k] for v in self.vectors) for k in range(self.dim))
 
     def direction(self, flat):
         """u_I = sum of u_i over i in the flat (element 0 contributes u0)."""
@@ -66,16 +74,23 @@ class Basis:
 
     def decompose(self, v):
         """Integer coordinates a with v = sum a_i u_i (i = 1..N)."""
-        cols = [[self.vectors[j][k] for j in range(self.dim)] for k in range(self.dim)]
-        a = solve(cols, list(v))
-        if a is None or any(x.denominator != 1 for x in a):
+        w = tuple(int(x) for x in v)
+        # the inverse is integral, so a is integral exactly when v is
+        if len(w) != self.dim or w != tuple(v):
             raise FanError("vector does not decompose integrally in the basis")
-        return tuple(int(x) for x in a)
+        return tuple(sum(c * x for c, x in zip(row, w)) for row in self._inverse)
+
+
+_STANDARD_BASES = {}
 
 
 def standard_basis(n):
-    """u_i = -e_i, so u_0 = (1, ..., 1)."""
-    return Basis(tuple(tuple(-1 if k == i else 0 for k in range(n)) for i in range(n)))
+    """u_i = -e_i, so u_0 = (1, ..., 1).  One shared (frozen) instance per n."""
+    basis = _STANDARD_BASES.get(n)
+    if basis is None:
+        basis = Basis(tuple(tuple(-1 if k == i else 0 for k in range(n)) for i in range(n)))
+        _STANDARD_BASES[n] = basis
+    return basis
 
 
 @dataclass(frozen=True)
@@ -211,10 +226,10 @@ def sigma(plane, ray_index):
     k0 = next((k for k in range(n) if v[k] != 0), None)
     if k0 is None:
         raise FanError("zero ray direction")  # pragma: no cover
-    c = Fraction(s[k0], v[k0])
-    if c.denominator != 1 or any(s[k] != c * v[k] for k in range(n)):
+    c, r = divmod(s[k0], v[k0])
+    if r or any(s[k] != c * v[k] for k in range(n)):
         raise FanError("adjacent ray sum is not a multiple of the ray")
-    return int(c)
+    return c
 
 
 def link_graph(plane):
@@ -321,7 +336,6 @@ def reconstruct_matroid(rays, cones, dim, basis=None):
     want = sorted(tuple(int(x) for x in v) for v in rays)
     if got != want:
         raise FanError("reconstructed matroid does not reproduce the rays")
-    pairs = sorted(tuple(sorted((c.i, c.j))) for c in rebuilt.cones)
     # compare cones through ray directions, input indexing may differ
     ray_pos = {tuple(int(x) for x in v): k for k, v in enumerate(rays)}
     relabel = {k: ray_pos[r.direction] for k, r in enumerate(rebuilt.rays)}

@@ -52,10 +52,28 @@ def _load(path):
         raise TropsurfError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _key(obj, key, where):
+    """obj[key], or a TropsurfError naming the missing key and where."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise TropsurfError(f"{where}: missing key '{key}'")
+    return obj[key]
+
+
+def _integral(x):
+    return isinstance(x, int) or (isinstance(x, float) and x.is_integer())
+
+
 def load_matroid(path):
     obj = _load(path)
     if "lines" in obj:
-        return mt.from_lines(int(obj["n"]), [tuple(l) for l in obj["lines"]])
+        lines = []
+        for k, line in enumerate(obj["lines"]):
+            if not isinstance(line, list) or not all(_integral(x) for x in line):
+                raise TropsurfError(
+                    f"{path}: lines[{k}] must be a list of integer elements, got {line!r}"
+                )
+            lines.append(tuple(line))
+        return mt.from_lines(int(obj["n"]), lines)
     if "flats" in obj:
         levels = tuple(
             tuple(frozenset(f) for f in level) for level in obj["flats"]
@@ -66,10 +84,11 @@ def load_matroid(path):
 
 def load_cycle(path):
     obj = _load(path)
-    return fan_cycles.FanCycle(
-        int(obj["dim"]),
-        tuple((tuple(r["dir"]), int(r["weight"])) for r in obj["rays"]),
-    )
+    rays = []
+    for k, r in enumerate(_key(obj, "rays", path)):
+        where = f"{path}: rays[{k}]"
+        rays.append((tuple(_key(r, "dir", where)), int(_key(r, "weight", where))))
+    return fan_cycles.FanCycle(int(_key(obj, "dim", path)), tuple(rays))
 
 
 def fan_to_json(plane):
@@ -158,9 +177,10 @@ def cmd_fan_build(args):
 def cmd_fan_reconstruct(args):
     obj = _load(args.fan)
     m = bergman.reconstruct_matroid(
-        [tuple(r["dir"]) for r in obj["rays"]],
-        [tuple(c) for c in obj["cones"]],
-        int(obj["dim"]),
+        [tuple(_key(r, "dir", f"{args.fan}: rays[{k}]"))
+         for k, r in enumerate(_key(obj, "rays", args.fan))],
+        [tuple(c) for c in _key(obj, "cones", args.fan)],
+        int(_key(obj, "dim", args.fan)),
     )
     payload = matroid_to_json(m)
     lines = [
@@ -264,8 +284,11 @@ def cmd_homology_pairing(args):
     cosheaf_homology.parse_complex(_load(args.complex))  # validates the complex
     obj = _load(args.cycles)
     cycles = {
-        name: cosheaf_homology.parse_cycle(c) for name, c in obj["cycles"].items()
+        name: cosheaf_homology.parse_cycle(c)
+        for name, c in _key(obj, "cycles", args.cycles).items()
     }
+    if not cycles:
+        raise TropsurfError(f"{args.cycles}: 'cycles' is empty")
     names = sorted(cycles)
     table = {
         a: {

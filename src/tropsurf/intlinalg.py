@@ -1,9 +1,11 @@
 """Small exact linear algebra helpers over ZZ and QQ.
 
 Everything in this package works with tiny matrices (ambient dimensions
-are single digits, chain groups a few dozen), so plain Fraction Gaussian
-elimination and textbook Smith reduction are fast enough and keep all
-arithmetic exact.
+are single digits, chain groups a few dozen).  Determinants stay in the
+integers by fraction-free (Bareiss) elimination and Smith reduction is
+textbook row/column reduction on Python ints; `solve`, `rank` and
+`symmetric_signature` use Fraction Gaussian elimination, since their
+answers or intermediate pivots are rational.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -14,25 +16,29 @@ from math import gcd
 
 
 def det(rows):
-    """Exact determinant of a square matrix (ints or Fractions)."""
+    """Determinant of a square integer matrix.
+
+    Fraction-free (Bareiss) elimination: after step k every entry of the
+    trailing block is a (k+1) x (k+1) minor of the input, so each division
+    by the previous pivot is exact and all entries stay integers.
+    """
     n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+    a = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= a[i][i]
-    return out
+        p = a[k][k]
+        for i in range(k + 1, n):
+            row, f = a[i], a[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - f * a[k][j]) // prev
+        prev = p
+    return sign * a[-1][-1] if n else 1
 
 
 def solve(rows, rhs):
@@ -189,7 +195,7 @@ def exterior_power(rows, p, shape=None):
         line = []
         for cs in csets:
             minor = [[rows[i][j] for j in cs] for i in rs]
-            line.append(int(det(minor)))
+            line.append(det(minor))
         out.append(line)
     return out
 

@@ -1,15 +1,41 @@
 """Coarse fan structure: rays, cones, pruning, classification, and
 reconstruction of the matroid from the fan."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropsurf import bergman as bg
 from tropsurf import matroid as mt
 from tropsurf.errors import FanError
+from tropsurf.intlinalg import solve
 
 from test_matroid import matroids
+
+
+@st.composite
+def unimodular_vectors(draw):
+    """Rows of a random product of elementary integer matrices (det +-1)."""
+    n = draw(st.integers(1, 5))
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n > 1:
+        for _ in range(draw(st.integers(0, 8))):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.integers(-3, 3))
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    if draw(st.booleans()):
+        a[0] = [-x for x in a[0]]
+    return [tuple(row) for row in a]
+
+
+def fraction_decompose(basis, v):
+    """The rational solution of v = sum a_i u_i, as the basis once computed it."""
+    n = basis.dim
+    return tuple(solve([[basis.vectors[j][k] for j in range(n)] for k in range(n)], list(v)))
 
 
 class TestBasis:
@@ -26,6 +52,51 @@ class TestBasis:
     def test_non_standard_unimodular(self):
         b = bg.Basis(((1, 1), (0, 1)))
         assert b.decompose((1, 2)) == (1, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(unimodular_vectors(), st.data())
+    def test_decompose_inverts_direction(self, vecs, data):
+        b = bg.Basis(vecs)
+        n = b.dim
+        assert b.u0 == tuple(-sum(v[k] for v in vecs) for k in range(n))
+        for size in range(1, n + 2):
+            for flat in combinations(range(n + 1), size):
+                a = b.decompose(b.direction(flat))
+                assert a == tuple(int(i in flat) - int(0 in flat) for i in range(1, n + 1))
+                assert a == fraction_decompose(b, b.direction(flat))
+        v = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+        a = b.decompose(v)
+        assert all(type(x) is int for x in a)
+        assert a == fraction_decompose(b, v)
+        assert [sum(x * u[k] for x, u in zip(a, vecs)) for k in range(n)] == v
+
+    @settings(max_examples=50, deadline=None)
+    @given(unimodular_vectors(), st.integers(0, 4))
+    def test_det_two_and_singular_bases_raise(self, vecs, k):
+        k %= len(vecs)
+        doubled = list(vecs)
+        doubled[k] = tuple(2 * x for x in vecs[k])
+        with pytest.raises(FanError, match="unimodular"):
+            bg.Basis(doubled)
+        singular = list(vecs)
+        singular[k] = tuple(2 * x for x in vecs[k - 1]) if len(vecs) > 1 else (0,)
+        with pytest.raises(FanError, match="unimodular"):
+            bg.Basis(singular)
+
+    def test_decompose_rejects_non_integral_vectors(self):
+        b = bg.standard_basis(3)
+        assert b.decompose((1.0, Fraction(2), 0)) == (-1, -2, 0)
+        for v in [(Fraction(1, 2), 0, 0), (0.5, 0, 0), (1, 0), (1, 0, 0, 0)]:
+            with pytest.raises(FanError, match="integrally"):
+                b.decompose(v)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_standard_basis_is_shared(self, n):
+        b = bg.standard_basis(n)
+        assert bg.standard_basis(n) is b
+        fresh = bg.Basis(tuple(tuple(-int(k == i) for k in range(n)) for i in range(n)))
+        assert fresh == b and hash(fresh) == hash(b)
+        assert fresh.u0 == b.u0 == (1,) * n
 
 
 class TestBuildFan:

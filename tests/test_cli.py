@@ -253,6 +253,36 @@ class TestErrors:
         assert rc == 1
         assert "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "argv, obj, message",
+        [
+            (["cycle", "degree", "--cycle"], {"dim": 3}, "missing key 'rays'"),
+            (
+                ["cycle", "degree", "--cycle"],
+                {"dim": 3, "rays": [{"dir": [1, 0, 0]}]},
+                "rays[0]: missing key 'weight'",
+            ),
+            (["fan", "reconstruct", "--fan"], {"dim": 3, "rays": []}, "missing key 'cones'"),
+            (
+                ["homology", "pairing", "--complex", str(data_path("torus.json")), "--cycles"],
+                {"cycles": {}},
+                "'cycles' is empty",
+            ),
+            (
+                ["matroid", "info", "--matroid"],
+                {"n": 4, "lines": [[0, 1], [1, "2", 3]]},
+                "lines[1] must be a list of integer elements",
+            ),
+        ],
+        ids=["no-rays", "no-weight", "no-cones", "empty-cycles", "string-element"],
+    )
+    def test_malformed_input_names_the_item(self, capsys, files, argv, obj, message):
+        bad = files("bad.json", obj)
+        rc, out, err = run(capsys, argv + [bad])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["matroid", "info"])  # missing --matroid
