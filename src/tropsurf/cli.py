@@ -22,9 +22,9 @@ import json
 import os
 import sys
 
-from . import bergman, cosheaf_homology, fan_cycles, fan_intersect
-from . import matroid as mt
-from . import surface_calculus as sc
+# Only the error types load with the CLI: each subcommand imports the
+# library layers it uses in its own body, so a one-shot process loads (and
+# compiles) just those.
 from .errors import TropsurfError
 
 
@@ -50,6 +50,8 @@ def _load(path):
         raise TropsurfError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise TropsurfError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise TropsurfError(f"{path} is nested too deeply to read") from exc
 
 
 def _key(obj, key, where):
@@ -63,32 +65,60 @@ def _integral(x):
     return isinstance(x, int) or (isinstance(x, float) and x.is_integer())
 
 
+def _int(obj, key, where):
+    """obj[key] as an int, or a TropsurfError naming the key and where."""
+    value = _key(obj, key, where)
+    if not _integral(value):
+        raise TropsurfError(f"{where}: {key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _list(item, where, what):
+    """item if it is a list, or a TropsurfError naming where."""
+    if not isinstance(item, list):
+        raise TropsurfError(f"{where} must be a list of {what}, got {item!r}")
+    return item
+
+
+def _elements(item, where):
+    """A list of integer matroid elements as a tuple."""
+    if not all(_integral(x) for x in _list(item, where, "integer elements")):
+        raise TropsurfError(f"{where} must be a list of integer elements, got {item!r}")
+    return tuple(item)
+
+
 def load_matroid(path):
+    from . import matroid as mt
+
     obj = _load(path)
+    if not isinstance(obj, dict) or not ("lines" in obj or "flats" in obj):
+        raise TropsurfError(f"{path}: matroid files need a 'lines' or 'flats' key")
+    n = _int(obj, "n", path)
     if "lines" in obj:
-        lines = []
-        for k, line in enumerate(obj["lines"]):
-            if not isinstance(line, list) or not all(_integral(x) for x in line):
-                raise TropsurfError(
-                    f"{path}: lines[{k}] must be a list of integer elements, got {line!r}"
-                )
-            lines.append(tuple(line))
-        return mt.from_lines(int(obj["n"]), lines)
-    if "flats" in obj:
-        levels = tuple(
-            tuple(frozenset(f) for f in level) for level in obj["flats"]
+        lines = [
+            _elements(line, f"{path}: lines[{k}]")
+            for k, line in enumerate(_list(obj["lines"], f"{path}: lines", "lines"))
+        ]
+        return mt.from_lines(n, lines)
+    levels = tuple(
+        tuple(
+            frozenset(_elements(f, f"{path}: flats[{r}][{k}]"))
+            for k, f in enumerate(_list(level, f"{path}: flats[{r}]", "flats"))
         )
-        return mt.Matroid(int(obj["n"]), levels)
-    raise TropsurfError(f"{path}: matroid files need a 'lines' or 'flats' key")
+        for r, level in enumerate(_list(obj["flats"], f"{path}: flats", "levels"))
+    )
+    return mt.Matroid(n, levels)
 
 
 def load_cycle(path):
+    from . import fan_cycles
+
     obj = _load(path)
     rays = []
     for k, r in enumerate(_key(obj, "rays", path)):
         where = f"{path}: rays[{k}]"
-        rays.append((tuple(_key(r, "dir", where)), int(_key(r, "weight", where))))
-    return fan_cycles.FanCycle(int(_key(obj, "dim", path)), tuple(rays))
+        rays.append((tuple(_key(r, "dir", where)), _int(r, "weight", where)))
+    return fan_cycles.FanCycle(_int(obj, "dim", path), tuple(rays))
 
 
 def fan_to_json(plane):
@@ -124,6 +154,9 @@ def _emit(args, payload, text_lines):
 
 
 def cmd_matroid_info(args):
+    from . import bergman
+    from . import matroid as mt
+
     m = load_matroid(args.matroid)
     payload = {
         "n": m.n,
@@ -154,6 +187,8 @@ def cmd_matroid_info(args):
 
 
 def cmd_fan_build(args):
+    from . import bergman, fan_intersect
+
     m = load_matroid(args.matroid)
     plane = bergman.build_fan(m)
     payload = fan_to_json(plane)
@@ -175,12 +210,14 @@ def cmd_fan_build(args):
 
 
 def cmd_fan_reconstruct(args):
+    from . import bergman
+
     obj = _load(args.fan)
     m = bergman.reconstruct_matroid(
         [tuple(_key(r, "dir", f"{args.fan}: rays[{k}]"))
          for k, r in enumerate(_key(obj, "rays", args.fan))],
         [tuple(c) for c in _key(obj, "cones", args.fan)],
-        int(_key(obj, "dim", args.fan)),
+        _int(obj, "dim", args.fan),
     )
     payload = matroid_to_json(m)
     lines = [
@@ -192,6 +229,8 @@ def cmd_fan_reconstruct(args):
 
 
 def cmd_cycle_degree(args):
+    from . import bergman, fan_cycles
+
     c = load_cycle(args.cycle)
     basis = bergman.standard_basis(c.dim)
     balanced = fan_cycles.is_balanced(c)
@@ -220,6 +259,8 @@ def cmd_cycle_degree(args):
 
 
 def cmd_intersect_bezout(args):
+    from . import bergman, fan_intersect
+
     m = load_matroid(args.matroid)
     plane = bergman.build_fan(m)
     c1 = load_cycle(args.cycle)
@@ -245,6 +286,8 @@ def cmd_intersect_bezout(args):
 
 
 def cmd_surface_check(args):
+    from . import surface_calculus as sc
+
     x = sc.parse_surface(_load(args.expr))
     payload = sc.surface_report(x)
     payload["adjunction"] = [
@@ -265,6 +308,8 @@ def cmd_surface_check(args):
 
 
 def cmd_homology_diamond(args):
+    from . import cosheaf_homology
+
     x = cosheaf_homology.parse_complex(_load(args.complex))
     d = cosheaf_homology.diamond(x)
     payload = {
@@ -281,14 +326,18 @@ def cmd_homology_diamond(args):
 
 
 def cmd_homology_pairing(args):
-    cosheaf_homology.parse_complex(_load(args.complex))  # validates the complex
-    obj = _load(args.cycles)
-    cycles = {
-        name: cosheaf_homology.parse_cycle(c)
-        for name, c in _key(obj, "cycles", args.cycles).items()
-    }
+    from . import cosheaf_homology
+
+    x = cosheaf_homology.parse_complex(_load(args.complex))
+    cycles = _key(_load(args.cycles), "cycles", args.cycles)
+    if not isinstance(cycles, dict):
+        raise TropsurfError(f"{args.cycles}: 'cycles' must map names to cycles")
     if not cycles:
         raise TropsurfError(f"{args.cycles}: 'cycles' is empty")
+    cycles = {
+        name: cosheaf_homology.parse_cycle(c, x, f"{args.cycles}: cycles.{name}")
+        for name, c in cycles.items()
+    }
     names = sorted(cycles)
     table = {
         a: {

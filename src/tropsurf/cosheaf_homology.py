@@ -338,15 +338,46 @@ def signature_1_1(basis):
     return symmetric_signature(gram)
 
 
-def parse_cycle(obj):
-    return OneOneCycle(
-        tuple(
-            Segment(
-                str(s["face"]),
-                tuple(Fraction(v) for v in s["start"]),
-                tuple(Fraction(v) for v in s["end"]),
-                tuple(int(v) for v in s["coeff"]),
+def _is_number(v):
+    try:
+        Fraction(v)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        return False
+    return True
+
+
+def parse_cycle(obj, x=None, where="cycle"):
+    """A (1,1)-cycle from ``{"segments": [{"face", "start", "end",
+    "coeff"}, ...]}``.  Given the complex ``x``, each segment must lie on a
+    2-cell of ``x`` and carry a coefficient of that cell's F_1 rank.  Input
+    errors name the segment as ``where.segments[k]``."""
+    segments = obj.get("segments") if isinstance(obj, dict) else None
+    if not isinstance(segments, (list, tuple)):
+        raise ComplexError(f"{where}: 'segments' must be a list of segments")
+    faces = None if x is None else {c.id for c in x.cells_of_dim(2)}
+    out = []
+    for k, s in enumerate(segments):
+        at = f"{where}.segments[{k}]"
+        for key in ("face", "start", "end", "coeff"):
+            if not isinstance(s, dict) or key not in s:
+                raise ComplexError(f"{at}: missing key '{key}'")
+        face, coeff = str(s["face"]), s["coeff"]
+        if faces is not None and face not in faces:
+            raise ComplexError(f"{at}: face {face!r} is not a 2-cell of the complex")
+        for key in ("start", "end"):
+            if not isinstance(s[key], (list, tuple)) or not all(map(_is_number, s[key])):
+                raise ComplexError(f"{at}: {key} must be a list of numbers, got {s[key]!r}")
+        if not isinstance(coeff, (list, tuple)) or not all(
+            isinstance(v, int) or (isinstance(v, float) and v.is_integer()) for v in coeff
+        ):
+            raise ComplexError(f"{at}: coeff must be a list of integers, got {coeff!r}")
+        if x is not None and len(coeff) != x._ranks[face]:
+            raise ComplexError(
+                f"{at}: coeff must have {x._ranks[face]} entries, the F_1 rank of "
+                f"{face}, got {coeff!r}"
             )
-            for s in obj["segments"]
-        )
-    )
+        try:
+            out.append(Segment(face, tuple(s["start"]), tuple(s["end"]), tuple(coeff)))
+        except ComplexError as exc:
+            raise ComplexError(f"{at}: {exc}") from None
+    return OneOneCycle(tuple(out))

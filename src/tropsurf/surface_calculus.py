@@ -365,40 +365,96 @@ def adjunction_check(x, curve_id):
 # -- JSON expression trees ---------------------------------------------------
 
 
-def parse_curve(obj):
-    return CurveDescriptor(int(obj["b1"]), tuple(obj.get("valencies", ())))
+def _at(path, message):
+    return f"{path}: {message}" if path else message
 
 
-def parse_surface(obj):
+def _field(body, key, path):
+    """body[key] of the expression node at ``path``."""
+    if key not in body:
+        raise SurfaceError(_at(path, f"missing key {key!r}"))
+    return body[key]
+
+
+def _is_int(v):
+    return isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+
+
+def _integers(items, where):
+    if not isinstance(items, (list, tuple)) or not all(map(_is_int, items)):
+        raise SurfaceError(f"{where} must be a list of integers, got {items!r}")
+    return tuple(int(v) for v in items)
+
+
+def _integer(body, key, path):
+    v = _field(body, key, path)
+    if not _is_int(v):
+        raise SurfaceError(f"{path}.{key} must be an integer, got {v!r}")
+    return int(v)
+
+
+def parse_curve(obj, path="curve"):
+    if not isinstance(obj, dict):
+        raise SurfaceError(f"{path} must be an object, got {obj!r}")
+    return CurveDescriptor(
+        _integer(obj, "b1", path),
+        _integers(obj.get("valencies", ()), f"{path}.valencies"),
+    )
+
+
+# the sub-expressions of each operation, in evaluation order
+_OPERANDS = {
+    "toric": (),
+    "sum": ("left", "right"),
+    "selfsum": ("base",),
+    "modify": ("base",),
+    "contract": ("base",),
+}
+
+
+def parse_surface(obj, path=""):
     """Build a Surface from a nested expression object; see the README for
-    the schema.  Exactly one of the operation keys must be present."""
+    the schema.  Exactly one of the operation keys must be present.  Input
+    errors name the node by its path of keys, such as
+    ``selfsum.base.toric``."""
     if not isinstance(obj, dict) or len(obj) != 1:
-        raise SurfaceError("surface expression must have exactly one operation")
+        raise SurfaceError(_at(path, "surface expression must have exactly one operation"))
     (op, body), = obj.items()
+    if op not in _OPERANDS:
+        raise SurfaceError(_at(path, f"unknown surface operation {op!r}"))
+    path = f"{path}.{op}" if path else op
+    if not isinstance(body, dict):
+        raise SurfaceError(f"{path} must be an object, got {body!r}")
+    # one Python frame per level of nesting: a plain loop, no helper call
+    sub = []
+    for key in _OPERANDS[op]:
+        sub.append(parse_surface(_field(body, key, path), f"{path}.{key}"))
+
+    def name(key):
+        return str(_field(body, key, path))
+
     if op == "toric":
-        return toric_surface(Fan2D(tuple(tuple(r) for r in body["rays"])))
+        rays = _field(body, "rays", path)
+        if not isinstance(rays, (list, tuple)) or any(
+            not isinstance(r, (list, tuple)) or len(r) != 2 for r in rays
+        ):
+            raise SurfaceError(f"{path}.rays must be a list of integer pairs, got {rays!r}")
+        return toric_surface(
+            Fan2D(tuple(_integers(r, f"{path}.rays[{k}]") for k, r in enumerate(rays)))
+        )
     if op == "sum":
-        return tropical_sum(
-            parse_surface(body["left"]),
-            str(body["left_curve"]),
-            parse_surface(body["right"]),
-            str(body["right_curve"]),
-        )
+        return tropical_sum(sub[0], name("left_curve"), sub[1], name("right_curve"))
     if op == "selfsum":
-        return self_sum(
-            parse_surface(body["base"]), str(body["curve1"]), str(body["curve2"])
-        )
+        return self_sum(sub[0], name("curve1"), name("curve2"))
     if op == "modify":
         return modify(
-            parse_surface(body["base"]),
-            parse_curve(body["curve"]),
-            int(body["self_intersection"]),
-            str(body["id"]),
+            sub[0],
+            parse_curve(_field(body, "curve", path), f"{path}.curve"),
+            _integer(body, "self_intersection", path),
+            name("id"),
             bool(body.get("locally_degree_1", True)),
         )
-    if op == "contract":
-        return contract(parse_surface(body["base"]), str(body["curve"]))
-    raise SurfaceError(f"unknown surface operation {op!r}")
+    return contract(sub[0], name("curve"))
 
 
 def surface_report(x):

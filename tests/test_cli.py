@@ -1,9 +1,14 @@
 """End-to-end command line tests with byte-exact golden outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tropsurf
 from tropsurf import cli
 from tropsurf.cosheaf_homology import parse_complex
 
@@ -238,6 +243,21 @@ class TestHomology:
         assert payload["1,1"] == {"free_rank": 4, "torsion": []}
 
 
+# pairs the bundled torus complex with the cycles file given last
+PAIR_WITH_TORUS = [
+    "homology", "pairing", "--complex", str(data_path("torus.json")), "--cycles"
+]
+
+
+def _torus_cycles(edit):
+    """The bundled torus cycles with ``edit`` applied to the first segment
+    of cycle alpha."""
+    with open(data_path("torus_cycles.json")) as fh:
+        obj = json.load(fh)
+    edit(obj["cycles"]["alpha"]["segments"][0])
+    return obj
+
+
 class TestErrors:
     def test_domain_error_exits_1(self, capsys, files):
         bad = files("bad.json", {"n": 3, "lines": [[0, 1, 2]]})  # full set
@@ -264,7 +284,7 @@ class TestErrors:
             ),
             (["fan", "reconstruct", "--fan"], {"dim": 3, "rays": []}, "missing key 'cones'"),
             (
-                ["homology", "pairing", "--complex", str(data_path("torus.json")), "--cycles"],
+                PAIR_WITH_TORUS,
                 {"cycles": {}},
                 "'cycles' is empty",
             ),
@@ -273,8 +293,86 @@ class TestErrors:
                 {"n": 4, "lines": [[0, 1], [1, "2", 3]]},
                 "lines[1] must be a list of integer elements",
             ),
+            (
+                ["cycle", "degree", "--cycle"],
+                {"dim": 3, "rays": [{"dir": [1, 0, 0], "weight": "x"}]},
+                "rays[0]: weight must be an integer, got 'x'",
+            ),
+            (
+                ["fan", "reconstruct", "--fan"],
+                {"dim": "3", "rays": [], "cones": []},
+                "dim must be an integer, got '3'",
+            ),
+            (
+                ["matroid", "info", "--matroid"],
+                {"n": "x", "lines": []},
+                "n must be an integer, got 'x'",
+            ),
+            (
+                ["matroid", "info", "--matroid"],
+                {"n": "x", "flats": [[[]], [[0], [1], [2]], [[0, 1, 2]]]},
+                "n must be an integer, got 'x'",
+            ),
+            (
+                ["matroid", "info", "--matroid"],
+                {"n": 3, "flats": [[[]], [[0], [[1]], [2]], [[0, 1, 2]]]},
+                "flats[1][1] must be a list of integer elements",
+            ),
+            (
+                ["surface", "check", "--expr"],
+                {"toric": {}},
+                "toric: missing key 'rays'",
+            ),
+            (
+                ["surface", "check", "--expr"],
+                {"selfsum": {"base": {"toric": {}}, "curve1": "D0", "curve2": "D2"}},
+                "selfsum.base.toric: missing key 'rays'",
+            ),
+            (
+                PAIR_WITH_TORUS,
+                _torus_cycles(lambda seg: seg.update(face="F9")),
+                "cycles.alpha.segments[0]: face 'F9' is not a 2-cell",
+            ),
+            (
+                PAIR_WITH_TORUS,
+                _torus_cycles(lambda seg: seg.update(face="E1")),
+                "cycles.alpha.segments[0]: face 'E1' is not a 2-cell",
+            ),
+            (
+                PAIR_WITH_TORUS,
+                _torus_cycles(lambda seg: seg.update(coeff=[0, 1, 0])),
+                "cycles.alpha.segments[0]: coeff must have 2 entries, the F_1 rank of F2",
+            ),
+            (
+                PAIR_WITH_TORUS,
+                _torus_cycles(lambda seg: seg.pop("end")),
+                "cycles.alpha.segments[0]: missing key 'end'",
+            ),
+            (
+                PAIR_WITH_TORUS,
+                _torus_cycles(lambda seg: seg.update(start=["x", "0"])),
+                "cycles.alpha.segments[0]: start must be a list of numbers",
+            ),
         ],
-        ids=["no-rays", "no-weight", "no-cones", "empty-cycles", "string-element"],
+        ids=[
+            "no-rays",
+            "no-weight",
+            "no-cones",
+            "empty-cycles",
+            "string-element",
+            "string-weight",
+            "string-dim",
+            "string-n-lines",
+            "string-n-flats",
+            "list-in-flat",
+            "toric-no-rays",
+            "nested-toric-no-rays",
+            "pairing-unknown-face",
+            "pairing-edge-face",
+            "pairing-coeff-rank",
+            "pairing-no-end",
+            "pairing-string-start",
+        ],
     )
     def test_malformed_input_names_the_item(self, capsys, files, argv, obj, message):
         bad = files("bad.json", obj)
@@ -282,6 +380,16 @@ class TestErrors:
         assert rc == 1
         assert out == ""
         assert err.startswith("error: ") and message in err
+
+    def test_expression_past_the_recursion_limit_exits_1(self, capsys, tmp_path):
+        # built as a string: json.dump itself recurses on input this deep
+        leaf = '{"toric": {"rays": [[1, 0], [0, 1], [-1, -1]]}}'
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"contract": {"curve": "D0", "base": ' * 5000 + leaf + "}}" * 5000)
+        rc, out, err = run(capsys, ["surface", "check", "--expr", str(deep)])
+        assert rc == 1
+        assert out == ""
+        assert err == f"error: {deep} is nested too deeply to read\n"
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -305,6 +413,63 @@ class TestErrors:
         assert rc == 0
         assert out == ""
         assert json.loads(out_file.read_text())["rank"] == 3
+
+
+class TestImportFootprint:
+    """Each subcommand imports only the library layers it uses; checked in a
+    fresh interpreter, since this one has imported every layer already."""
+
+    @staticmethod
+    def modules_after(code):
+        """The ``tropsurf`` modules loaded after running ``code`` in a new
+        interpreter that imports the package under test."""
+        src = str(Path(tropsurf.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, TROPSURF_COLOR="0")
+        probe = (
+            code
+            + "\nimport sys, json"
+            + "\nloaded = [m for m in sys.modules if m.startswith('tropsurf')]"
+            + "\nprint(json.dumps(loaded))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        return set(json.loads(done.stdout.splitlines()[-1]))
+
+    def test_importing_the_cli_loads_no_layer(self):
+        assert self.modules_after("import tropsurf.cli") == {
+            "tropsurf", "tropsurf.errors", "tropsurf.cli"
+        }
+
+    def test_surface_check_loads_only_the_surface_calculus(self, files):
+        expr = files("tp2.json", {"toric": {"rays": [[1, 0], [0, 1], [-1, -1]]}})
+        argv = ["surface", "check", "--expr", expr]
+        code = f"import tropsurf.cli\ntropsurf.cli.main({argv!r})"
+        assert self.modules_after(code) == {
+            "tropsurf", "tropsurf.errors", "tropsurf.cli", "tropsurf.surface_calculus"
+        }
+
+    def test_homology_diamond_loads_no_matroid_layer(self):
+        argv = ["homology", "diamond", "--complex", str(data_path("torus.json"))]
+        code = f"import tropsurf.cli\ntropsurf.cli.main({argv!r})"
+        loaded = self.modules_after(code)
+        assert "tropsurf.cosheaf_homology" in loaded
+        assert not loaded & {"tropsurf.bergman", "tropsurf.matroid"}
+
+    def test_package_attributes_import_submodules(self):
+        code = (
+            "import types, tropsurf\n"
+            "assert isinstance(tropsurf.bergman, types.ModuleType)\n"
+            "assert tropsurf.bergman.__name__ == 'tropsurf.bergman'\n"
+            "try:\n"
+            "    tropsurf.nope\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('tropsurf.nope did not raise AttributeError')"
+        )
+        assert "tropsurf.bergman" in self.modules_after(code)
 
 
 def test_complex_data_files_are_valid():

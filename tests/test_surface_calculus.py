@@ -1,6 +1,7 @@
 """Toric building blocks, sums, contractions, Noether, and adjunction."""
 
 import random
+import re
 
 import pytest
 
@@ -218,3 +219,29 @@ class TestParsing:
     def test_unknown_operation(self):
         with pytest.raises(SurfaceError):
             sc.parse_surface({"glue": {}})
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            (
+                {"sum": {"left": {"toric": {"rays": [[1, 0], [0, 1], [-1, -1]]}},
+                         "left_curve": "D0", "right_curve": "D0",
+                         "right": {"toric": {"rays": [[1, 0], [0, "y"], [-1, -1]]}}}},
+                "sum.right.toric.rays[1] must be a list of integers",
+            ),
+            (
+                {"modify": {"base": {"toric": {"rays": [[1, 0], [0, 1], [-1, -1]]}},
+                            "curve": {"b1": "x"}, "self_intersection": 0, "id": "E"}},
+                "modify.curve.b1 must be an integer, got 'x'",
+            ),
+            (
+                {"contract": {"base": {"glue": {}}, "curve": "D0"}},
+                "contract.base: unknown surface operation 'glue'",
+            ),
+            ({"selfsum": []}, "selfsum must be an object"),
+        ],
+        ids=["sum-ray", "modify-b1", "nested-unknown", "body-not-object"],
+    )
+    def test_input_errors_name_the_node(self, expr, message):
+        with pytest.raises(SurfaceError, match=re.escape(message)):
+            sc.parse_surface(expr)
