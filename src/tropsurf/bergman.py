@@ -19,15 +19,15 @@ fine structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import matroid as mt
+from ._frozen import frozen
 from .errors import FanError, MatroidError
 from .intlinalg import solve
 
 
-@dataclass(frozen=True)
+@frozen
 class Basis:
     """A unimodular basis u_1, ..., u_N of ZZ^N; u_0 = -(u_1 + ... + u_N).
 
@@ -93,13 +93,13 @@ def standard_basis(n):
     return basis
 
 
-@dataclass(frozen=True)
+@frozen
 class Ray:
     flat: frozenset
     direction: tuple
 
 
-@dataclass(frozen=True)
+@frozen
 class Cone:
     """Coarse 2-cone: endpoints are coarse ray indices; sectors is the path
     of fine directions from one endpoint to the other (length >= 2)."""
@@ -109,7 +109,7 @@ class Cone:
     sectors: tuple
 
 
-@dataclass(frozen=True)
+@frozen
 class FanPlane:
     matroid: mt.Matroid
     basis: Basis
@@ -246,7 +246,7 @@ def link_graph(plane):
 # -- classification of missing rays ----------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class MissingRayClass:
     """Which elements have no ray in the coarse structure, and why.
 

@@ -80,10 +80,10 @@ def _list(item, where, what):
     return item
 
 
-def _elements(item, where):
-    """A list of integer matroid elements as a tuple."""
-    if not all(_integral(x) for x in _list(item, where, "integer elements")):
-        raise TropsurfError(f"{where} must be a list of integer elements, got {item!r}")
+def _integers(item, where, what="integers"):
+    """A list of integers as a tuple, or a TropsurfError naming where."""
+    if not all(_integral(x) for x in _list(item, where, what)):
+        raise TropsurfError(f"{where} must be a list of {what}, got {item!r}")
     return tuple(item)
 
 
@@ -96,13 +96,13 @@ def load_matroid(path):
     n = _int(obj, "n", path)
     if "lines" in obj:
         lines = [
-            _elements(line, f"{path}: lines[{k}]")
+            _integers(line, f"{path}: lines[{k}]", "integer elements")
             for k, line in enumerate(_list(obj["lines"], f"{path}: lines", "lines"))
         ]
         return mt.from_lines(n, lines)
     levels = tuple(
         tuple(
-            frozenset(_elements(f, f"{path}: flats[{r}][{k}]"))
+            frozenset(_integers(f, f"{path}: flats[{r}][{k}]", "integer elements"))
             for k, f in enumerate(_list(level, f"{path}: flats[{r}]", "flats"))
         )
         for r, level in enumerate(_list(obj["flats"], f"{path}: flats", "levels"))
@@ -115,9 +115,10 @@ def load_cycle(path):
 
     obj = _load(path)
     rays = []
-    for k, r in enumerate(_key(obj, "rays", path)):
+    for k, r in enumerate(_list(_key(obj, "rays", path), f"{path}: rays", "rays")):
         where = f"{path}: rays[{k}]"
-        rays.append((tuple(_key(r, "dir", where)), _int(r, "weight", where)))
+        direction = _integers(_key(r, "dir", where), f"{where}.dir")
+        rays.append((direction, _int(r, "weight", where)))
     return fan_cycles.FanCycle(_int(obj, "dim", path), tuple(rays))
 
 
@@ -212,13 +213,21 @@ def cmd_fan_build(args):
 def cmd_fan_reconstruct(args):
     from . import bergman
 
-    obj = _load(args.fan)
-    m = bergman.reconstruct_matroid(
-        [tuple(_key(r, "dir", f"{args.fan}: rays[{k}]"))
-         for k, r in enumerate(_key(obj, "rays", args.fan))],
-        [tuple(c) for c in _key(obj, "cones", args.fan)],
-        _int(obj, "dim", args.fan),
-    )
+    path = args.fan
+    obj = _load(path)
+    rays = [
+        _integers(_key(r, "dir", f"{path}: rays[{k}]"), f"{path}: rays[{k}].dir")
+        for k, r in enumerate(_list(_key(obj, "rays", path), f"{path}: rays", "rays"))
+    ]
+    cones = []
+    for k, c in enumerate(_list(_key(obj, "cones", path), f"{path}: cones", "cones")):
+        if not (isinstance(c, list) and len(c) == 2
+                and all(_integral(i) and 0 <= i < len(rays) for i in c)):
+            raise TropsurfError(
+                f"{path}: cones[{k}] must be a pair of indices into rays, got {c!r}"
+            )
+        cones.append((int(c[0]), int(c[1])))
+    m = bergman.reconstruct_matroid(rays, cones, _int(obj, "dim", path))
     payload = matroid_to_json(m)
     lines = [
         f"reconstructed matroid on {m.n} elements",
@@ -310,7 +319,7 @@ def cmd_surface_check(args):
 def cmd_homology_diamond(args):
     from . import cosheaf_homology
 
-    x = cosheaf_homology.parse_complex(_load(args.complex))
+    x = cosheaf_homology.parse_complex(_load(args.complex), args.complex)
     d = cosheaf_homology.diamond(x)
     payload = {
         f"{p},{q}": {"free_rank": h.free_rank, "torsion": list(h.torsion)}
@@ -328,7 +337,7 @@ def cmd_homology_diamond(args):
 def cmd_homology_pairing(args):
     from . import cosheaf_homology
 
-    x = cosheaf_homology.parse_complex(_load(args.complex))
+    x = cosheaf_homology.parse_complex(_load(args.complex), args.complex)
     cycles = _key(_load(args.cycles), "cycles", args.cycles)
     if not isinstance(cycles, dict):
         raise TropsurfError(f"{args.cycles}: 'cycles' must map names to cycles")

@@ -16,10 +16,10 @@ and torsion from the Smith invariant factors of the incoming boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
+from ._frozen import frozen
 from .errors import ComplexError
 from .intlinalg import (
     exterior_power,
@@ -30,13 +30,13 @@ from .intlinalg import (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class Cell:
     id: str
     dim: int
 
 
-@dataclass(frozen=True)
+@frozen
 class Attachment:
     big: str
     small: str
@@ -44,7 +44,7 @@ class Attachment:
     iota1: tuple  # rows: f1_rank(small) x f1_rank(big)
 
 
-@dataclass(frozen=True)
+@frozen
 class CellComplex:
     cells: tuple
     attachments: tuple
@@ -134,7 +134,7 @@ class CellComplex:
                         )
 
 
-@dataclass(frozen=True)
+@frozen
 class Homology:
     free_rank: int
     torsion: tuple  # invariant factors > 1
@@ -167,29 +167,76 @@ def diamond(x):
 # -- JSON --------------------------------------------------------------------
 
 
-def parse_complex(obj):
-    cells = tuple(Cell(str(c["id"]), int(c["dim"])) for c in obj["cells"])
+def _is_int(v):
+    return isinstance(v, int) or (isinstance(v, float) and v.is_integer())
+
+
+def _value(item, key, at):
+    """item[key], or a ComplexError naming the missing key and where."""
+    if not isinstance(item, dict) or key not in item:
+        raise ComplexError(f"{at}: missing key {key!r}" if at else f"missing key {key!r}")
+    return item[key]
+
+
+def _integer(v, at, low=None):
+    if not _is_int(v) or (low is not None and v < low):
+        kind = "an integer" if low is None else f"an integer >= {low}"
+        raise ComplexError(f"{at} must be {kind}, got {v!r}")
+    return int(v)
+
+
+def parse_complex(obj, where=""):
+    """A CellComplex from ``{"cells": [{"id", "dim"}, ...], "f1_rank": r or
+    {cell id: r}, "incidences": [{"big", "small", "sign", "iota1"}, ...]}``.
+    Input errors name the item, such as ``incidences[3].iota1``, after
+    ``where: `` when ``where`` is given."""
+    pre = f"{where}: " if where else ""
+
+    def items(key):
+        value = _value(obj, key, where)
+        if not isinstance(value, (list, tuple)):
+            raise ComplexError(f"{pre}{key!r} must be a list, got {value!r}")
+        return value
+
+    cells = []
+    for k, c in enumerate(items("cells")):
+        at = f"{pre}cells[{k}]"
+        cell_id = str(_value(c, "id", at))
+        cells.append(Cell(cell_id, _integer(_value(c, "dim", at), f"{at}.dim")))
+    if not cells:
+        raise ComplexError(f"{pre}'cells' is empty")
     ranks = obj.get("f1_rank", 2)
-    if isinstance(ranks, int):
-        f1 = tuple((c.id, ranks) for c in cells)
-    else:
-        f1 = tuple((str(k), int(v)) for k, v in ranks.items())
-    atts = tuple(
-        Attachment(
-            str(a["big"]),
-            str(a["small"]),
-            int(a["sign"]),
-            tuple(tuple(int(v) for v in row) for row in a["iota1"]),
+    if _is_int(ranks):
+        f1 = tuple((c.id, _integer(ranks, f"{pre}f1_rank", 0)) for c in cells)
+    elif isinstance(ranks, dict):
+        f1 = tuple(
+            (str(k), _integer(v, f"{pre}f1_rank.{k}", 0)) for k, v in ranks.items()
         )
-        for a in obj["incidences"]
-    )
-    return CellComplex(cells, atts, f1)
+    else:
+        raise ComplexError(
+            f"{pre}f1_rank must be an integer or map cell ids to integers, got {ranks!r}"
+        )
+    atts = []
+    for k, a in enumerate(items("incidences")):
+        at = f"{pre}incidences[{k}]"
+        big, small = str(_value(a, "big", at)), str(_value(a, "small", at))
+        sign = _value(a, "sign", at)
+        if sign not in (1, -1):
+            raise ComplexError(f"{at}.sign must be 1 or -1, got {sign!r}")
+        iota1 = _value(a, "iota1", at)
+        if not isinstance(iota1, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) and all(map(_is_int, row)) for row in iota1
+        ):
+            raise ComplexError(f"{at}.iota1 must be a list of integer rows, got {iota1!r}")
+        iota1 = tuple(tuple(int(v) for v in row) for row in iota1)
+        atts.append(Attachment(big, small, int(sign), iota1))
+    return CellComplex(tuple(cells), tuple(atts), f1)
 
 
 # -- (1,1)-cycles and the intersection pairing -------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Segment:
     """A straight piece of a (1,1)-cycle inside the chart of one 2-cell.
 
@@ -216,7 +263,7 @@ class Segment:
         return tuple(e - s for s, e in zip(self.start, self.end))
 
 
-@dataclass(frozen=True)
+@frozen
 class OneOneCycle:
     segments: tuple
 
@@ -367,9 +414,7 @@ def parse_cycle(obj, x=None, where="cycle"):
         for key in ("start", "end"):
             if not isinstance(s[key], (list, tuple)) or not all(map(_is_number, s[key])):
                 raise ComplexError(f"{at}: {key} must be a list of numbers, got {s[key]!r}")
-        if not isinstance(coeff, (list, tuple)) or not all(
-            isinstance(v, int) or (isinstance(v, float) and v.is_integer()) for v in coeff
-        ):
+        if not isinstance(coeff, (list, tuple)) or not all(map(_is_int, coeff)):
             raise ComplexError(f"{at}: coeff must be a list of integers, got {coeff!r}")
         if x is not None and len(coeff) != x._ranks[face]:
             raise ComplexError(

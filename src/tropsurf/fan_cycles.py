@@ -11,14 +11,12 @@ give the degree of the cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
-
+from ._frozen import frozen
 from .errors import CycleError
 from .intlinalg import primitive
 
 
-@dataclass(frozen=True)
+@frozen
 class FanCycle:
     """rays: tuple of (direction, weight); directions primitive, distinct."""
 

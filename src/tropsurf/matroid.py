@@ -10,9 +10,9 @@ pair of elements closes up to a two-element flat automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._frozen import frozen
 from .errors import MatroidError
 
 
@@ -20,7 +20,7 @@ def _canon(flats):
     return tuple(sorted(flats, key=lambda f: (len(f), sorted(f))))
 
 
-@dataclass(frozen=True)
+@frozen
 class Matroid:
     """A matroid given by its flats, listed rank by rank.
 

@@ -22,15 +22,15 @@ Noether's identity 12 chi = K^2 + c2 is asserted on every node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
+from ._frozen import frozen, replace
 from .errors import SurfaceError
 
 
 # -- curves ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class CurveDescriptor:
     """Combinatorial type of a boundary curve: first Betti number and the
     multiset of vertex valencies (leaves included).  A circle has no
@@ -67,7 +67,7 @@ SEGMENT = CurveDescriptor(0, (1, 1))
 CIRCLE = CurveDescriptor(1, ())
 
 
-@dataclass(frozen=True)
+@frozen
 class LedgerEntry:
     curve: CurveDescriptor
     self_intersection: int
@@ -75,7 +75,7 @@ class LedgerEntry:
     crossings: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
+@frozen
 class Surface:
     chi: int
     k2: int
@@ -105,7 +105,7 @@ class Surface:
 # -- toric surfaces ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Fan2D:
     """A complete unimodular fan in R^2: primitive rays, counterclockwise,
     every consecutive pair a lattice basis of determinant +1."""

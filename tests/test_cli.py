@@ -1,5 +1,8 @@
 """End-to-end command line tests with byte-exact golden outputs."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -7,12 +10,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tropsurf
 from tropsurf import cli
 from tropsurf.cosheaf_homology import parse_complex
 
-from conftest import data_path
+from conftest import data_path, load_data
 
 
 @pytest.fixture(autouse=True)
@@ -247,6 +252,9 @@ class TestHomology:
 PAIR_WITH_TORUS = [
     "homology", "pairing", "--complex", str(data_path("torus.json")), "--cycles"
 ]
+DIAMOND = ["homology", "diamond", "--complex"]
+RECONSTRUCT = ["fan", "reconstruct", "--fan"]
+TWO_RAYS = [{"dir": [1, 0]}, {"dir": [0, 1]}]
 
 
 def _torus_cycles(edit):
@@ -353,6 +361,65 @@ class TestErrors:
                 _torus_cycles(lambda seg: seg.update(start=["x", "0"])),
                 "cycles.alpha.segments[0]: start must be a list of numbers",
             ),
+            (DIAMOND, {"incidences": []}, "missing key 'cells'"),
+            (DIAMOND, {"cells": [], "incidences": []}, "'cells' is empty"),
+            (
+                DIAMOND,
+                {"cells": [{"id": "x", "dim": "a"}], "incidences": []},
+                "cells[0].dim must be an integer, got 'a'",
+            ),
+            (
+                DIAMOND,
+                {"cells": [{"id": "x", "dim": 0}], "f1_rank": {"x": -1}, "incidences": []},
+                "f1_rank.x must be an integer >= 0, got -1",
+            ),
+            (
+                DIAMOND,
+                {"cells": [{"id": "x", "dim": 0}, {"id": "E", "dim": 1}], "f1_rank": 1,
+                 "incidences": [{"big": "E", "small": "x", "sign": "+", "iota1": [[1]]}]},
+                "incidences[0].sign must be 1 or -1, got '+'",
+            ),
+            (
+                DIAMOND,
+                {"cells": [{"id": "x", "dim": 0}, {"id": "E", "dim": 1}], "f1_rank": 1,
+                 "incidences": [{"big": "E", "small": "x", "sign": 1, "iota1": [1]}]},
+                "incidences[0].iota1 must be a list of integer rows, got [1]",
+            ),
+            (
+                ["cycle", "degree", "--cycle"],
+                {"dim": 2, "rays": [{"dir": 5, "weight": 1}]},
+                "rays[0].dir must be a list of integers, got 5",
+            ),
+            (
+                ["cycle", "degree", "--cycle"],
+                {"dim": 2, "rays": [{"dir": [1, 0], "weight": 1}, {"dir": [1, "x"], "weight": 1}]},
+                "rays[1].dir must be a list of integers, got [1, 'x']",
+            ),
+            (
+                RECONSTRUCT,
+                {"dim": 2, "rays": [{"dir": [1, "x"]}], "cones": []},
+                "rays[0].dir must be a list of integers, got [1, 'x']",
+            ),
+            (
+                RECONSTRUCT,
+                {"dim": 2, "rays": TWO_RAYS, "cones": [1]},
+                "cones[0] must be a pair of indices into rays, got 1",
+            ),
+            (
+                RECONSTRUCT,
+                {"dim": 2, "rays": TWO_RAYS, "cones": [[0]]},
+                "cones[0] must be a pair of indices into rays, got [0]",
+            ),
+            (
+                RECONSTRUCT,
+                {"dim": 2, "rays": TWO_RAYS, "cones": [["a", "b"]]},
+                "cones[0] must be a pair of indices into rays, got ['a', 'b']",
+            ),
+            (
+                RECONSTRUCT,
+                {"dim": 2, "rays": TWO_RAYS, "cones": [[0, 1], [0, 5]]},
+                "cones[1] must be a pair of indices into rays, got [0, 5]",
+            ),
         ],
         ids=[
             "no-rays",
@@ -372,6 +439,19 @@ class TestErrors:
             "pairing-coeff-rank",
             "pairing-no-end",
             "pairing-string-start",
+            "complex-no-cells",
+            "complex-empty-cells",
+            "complex-string-dim",
+            "complex-negative-rank",
+            "complex-string-sign",
+            "complex-flat-iota1",
+            "cycle-int-dir",
+            "cycle-string-in-dir",
+            "fan-string-in-dir",
+            "fan-int-cone",
+            "fan-short-cone",
+            "fan-string-cone",
+            "fan-cone-out-of-range",
         ],
     )
     def test_malformed_input_names_the_item(self, capsys, files, argv, obj, message):
@@ -420,15 +500,15 @@ class TestImportFootprint:
     fresh interpreter, since this one has imported every layer already."""
 
     @staticmethod
-    def modules_after(code):
-        """The ``tropsurf`` modules loaded after running ``code`` in a new
-        interpreter that imports the package under test."""
+    def modules_after(code, prefix="tropsurf"):
+        """The modules named ``prefix...`` loaded after running ``code`` in a
+        new interpreter that imports the package under test."""
         src = str(Path(tropsurf.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src, TROPSURF_COLOR="0")
         probe = (
             code
             + "\nimport sys, json"
-            + "\nloaded = [m for m in sys.modules if m.startswith('tropsurf')]"
+            + f"\nloaded = [m for m in sys.modules if m.startswith({prefix!r})]"
             + "\nprint(json.dumps(loaded))"
         )
         done = subprocess.run(
@@ -447,8 +527,42 @@ class TestImportFootprint:
         argv = ["surface", "check", "--expr", expr]
         code = f"import tropsurf.cli\ntropsurf.cli.main({argv!r})"
         assert self.modules_after(code) == {
-            "tropsurf", "tropsurf.errors", "tropsurf.cli", "tropsurf.surface_calculus"
+            "tropsurf", "tropsurf.errors", "tropsurf.cli", "tropsurf.surface_calculus",
+            "tropsurf._frozen",
         }
+
+    @pytest.mark.parametrize("sub", [
+        "matroid info", "fan build", "fan reconstruct", "cycle degree",
+        "intersect bezout", "surface check", "homology diamond", "homology pairing",
+    ])
+    def test_no_subcommand_imports_dataclasses_or_inspect(
+        self, files, u34_file, conic_file, sub
+    ):
+        fan_file = files("fan.json", cli.fan_to_json(
+            tropsurf.bergman.build_fan(tropsurf.matroid.uniform(3, 4))
+        ))
+        expr = files("tp2.json", {"toric": {"rays": [[1, 0], [0, 1], [-1, -1]]}})
+        inputs = {
+            "matroid info": ["--matroid", u34_file],
+            "fan build": ["--matroid", u34_file],
+            "fan reconstruct": ["--fan", fan_file],
+            "cycle degree": ["--cycle", conic_file, "--matroid", u34_file],
+            "intersect bezout": [
+                "--matroid", u34_file, "--cycle", conic_file, "--cycle2", conic_file
+            ],
+            "surface check": ["--expr", expr],
+            "homology diamond": ["--complex", str(data_path("torus.json"))],
+            "homology pairing": [
+                "--complex", str(data_path("torus.json")),
+                "--cycles", str(data_path("torus_cycles.json")),
+            ],
+        }
+        argv = sub.split() + inputs[sub]
+        code = f"import tropsurf.cli\nassert tropsurf.cli.main({argv!r}) == 0"
+        loaded = self.modules_after(code, prefix="")
+        assert not loaded & {"dataclasses", "inspect"}
+        # and it did build the library's value classes
+        assert "tropsurf._frozen" in loaded
 
     def test_homology_diamond_loads_no_matroid_layer(self):
         argv = ["homology", "diamond", "--complex", str(data_path("torus.json"))]
@@ -476,3 +590,115 @@ def test_complex_data_files_are_valid():
     # the bundled examples parse and validate on import paths used by the CLI
     for name in ("klein_bottle.json", "torus.json"):
         parse_complex(json.load(open(data_path(name))))
+
+
+# -- fuzzing the input boundary ----------------------------------------------
+
+U34 = {"n": 4, "lines": []}
+CONIC = {
+    "dim": 3,
+    "rays": [
+        {"dir": [-2, -1, 0], "weight": 1},
+        {"dir": [1, 0, 1], "weight": 1},
+        {"dir": [1, 1, -1], "weight": 1},
+    ],
+}
+FIXED = {"u34.json": U34, "conic.json": CONIC}
+TORUS, KLEIN = str(data_path("torus.json")), str(data_path("klein_bottle.json"))
+
+# argv with None where the mutated file goes, and that file's unmutated
+# content: a small file of each kind, and each bundled data file
+FUZZ_CASES = [
+    (["matroid", "info", "--matroid", None],
+     {"n": 6, "lines": [[0, 1, 3], [1, 2, 4], [0, 2, 5]]}),
+    (["fan", "build", "--matroid", None],
+     {"n": 4, "flats": [[[]], [[0], [1], [2], [3]], [[0, 1, 2], [0, 3], [1, 3], [2, 3]],
+                        [[0, 1, 2, 3]]]}),
+    (["fan", "reconstruct", "--fan", None],
+     {"dim": 3, "rays": [{"dir": [1, 1, 1]}, {"dir": [-1, 0, 0]}, {"dir": [0, -1, 0]},
+                         {"dir": [0, 0, -1]}],
+      "cones": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}),
+    (["cycle", "degree", "--matroid", "u34.json", "--cycle", None], CONIC),
+    (["cycle", "degree", "--cycle", "conic.json", "--matroid", None], U34),
+    (["intersect", "bezout", "--matroid", "u34.json", "--cycle", "conic.json",
+      "--cycle2", None], CONIC),
+    (["surface", "check", "--expr", None],
+     {"sum": {"left": {"toric": {"rays": [[1, 0], [0, 1], [-1, -1]]}}, "left_curve": "D0",
+              "right": {"modify": {"base": {"toric": {"rays": [[1, 0], [0, 1], [-1, 0], [0, -1]]}},
+                                   "curve": {"b1": 0, "valencies": [1, 1]},
+                                   "self_intersection": -1, "id": "E"}},
+              "right_curve": "E"}}),
+    (["homology", "diamond", "--complex", None], load_data("torus.json")),
+    (["homology", "pairing", "--complex", None, "--cycles", str(data_path("klein_cycles.json"))],
+     load_data("klein_bottle.json")),
+    (["homology", "pairing", "--complex", TORUS, "--cycles", None],
+     load_data("torus_cycles.json")),
+    (["homology", "pairing", "--complex", KLEIN, "--cycles", None],
+     load_data("klein_cycles.json")),
+]
+SWAPS = (None, True, 3, -1, 2.5, "x", [], {}, [0, 1])
+
+
+def _places(obj, path=()):
+    """The path of every item in a JSON value, the value itself first."""
+    yield path
+    if isinstance(obj, (dict, list)):
+        keys = obj if isinstance(obj, dict) else range(len(obj))
+        for k in list(keys):
+            yield from _places(obj[k], path + (k,))
+
+
+@st.composite
+def mutated(draw):
+    """One of FUZZ_CASES with one to three of its items dropped, swapped for
+    a value of another type, emptied or truncated."""
+    argv, obj = draw(st.sampled_from(FUZZ_CASES))
+    obj = copy.deepcopy(obj)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_places(obj))))
+        parent = obj
+        for k in path[:-1]:
+            parent = parent[k]
+        item = parent[path[-1]] if path else obj
+        kind = draw(st.sampled_from(["drop", "swap", "empty", "truncate"]))
+        if kind == "drop" and path:
+            del parent[path[-1]]
+            continue
+        if kind in ("empty", "truncate") and isinstance(item, (dict, list)):
+            keep = 0 if kind == "empty" else draw(st.integers(0, max(len(item) - 1, 0)))
+            new = type(item)(list(item.items())[:keep] if isinstance(item, dict) else item[:keep])
+        else:
+            new = copy.deepcopy(
+                draw(st.sampled_from([v for v in SWAPS if type(v) is not type(item)]))
+            )
+        if path:
+            parent[path[-1]] = new
+        else:
+            obj = new
+    return argv, obj
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    where = tmp_path_factory.mktemp("fuzz")
+    for name, obj in FIXED.items():
+        (where / name).write_text(json.dumps(obj))
+    return where
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mutated())
+def test_mutated_inputs_end_in_an_exit_code(fuzz_dir, case):
+    """Any malformed input file ends with exit code 0, 1 or 2, never with
+    another exception."""
+    argv, obj = case
+    bad = fuzz_dir / "bad.json"
+    bad.write_text(json.dumps(obj))
+    argv = [str(bad) if a is None else str(fuzz_dir / a) if a in FIXED else a for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # a usage error
+            assert exc.code == 2
+            return
+    assert rc in (0, 1)
