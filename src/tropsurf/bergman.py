@@ -307,14 +307,17 @@ def reconstruct_matroid(rays, cones, dim, basis=None):
     parallel-connection classification.  The result is verified by
     rebuilding the fan.
     """
-    if basis is None:
-        basis = standard_basis(dim)
-    if basis.dim != dim:
+    if basis is not None and basis.dim != dim:
         raise FanError("basis dimension mismatch")
+    for k, v in enumerate(rays):
+        if len(v) != dim:
+            raise FanError(f"rays[{k}] has {len(v)} entries, expected dim = {dim}")
     if not rays:
         if dim != 2:
             raise FanError("an empty fan is a plane only in dimension 2")
         return mt.uniform(3, 3)
+    if basis is None:
+        basis = standard_basis(dim)
     flats = [_decode_flat(basis, v) for v in rays]
     if len(set(flats)) != len(flats):
         raise FanError("repeated ray directions")

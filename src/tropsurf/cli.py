@@ -241,7 +241,8 @@ def cmd_cycle_degree(args):
     from . import bergman, fan_cycles
 
     c = load_cycle(args.cycle)
-    basis = bergman.standard_basis(c.dim)
+    # a cycle without rays needs no basis, whatever its dim
+    basis = bergman.standard_basis(c.dim) if c.rays else None
     balanced = fan_cycles.is_balanced(c)
     payload = {"dim": c.dim, "balanced": balanced}
     lines = [f"cycle with {len(c.rays)} rays in R^{c.dim}",

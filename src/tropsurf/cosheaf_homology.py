@@ -10,8 +10,9 @@ transport; the boundary map adds all of them.  The coefficient functor in
 degree p is the p-th exterior power of iota_1 (p = 0 is the constant
 functor), and squared boundaries are checked to vanish for every p.
 
-Homology groups are computed exactly: free rank from matrix ranks over QQ
-and torsion from the Smith invariant factors of the incoming boundary.
+Homology groups are computed exactly from one Smith reduction of each
+boundary matrix: the number of nonzero invariant factors is the rank, and
+those of the incoming boundary greater than 1 are the torsion.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from ._frozen import frozen
 from .errors import ComplexError
 from .intlinalg import (
     exterior_power,
+    matmul,
     primitive,
-    rank,
     smith_invariants,
     symmetric_signature,
 )
@@ -75,8 +76,13 @@ class CellComplex:
                 )
         object.__setattr__(self, "_dims", dims)
         object.__setattr__(self, "_ranks", ranks)
+        object.__setattr__(self, "_bounds", {})
+        object.__setattr__(self, "_invariants", {})
         for p in range(self.max_rank + 1):
-            self._check_boundary_squared(p)
+            for q in range(2, self.max_dim + 1):
+                dd = matmul(self.boundary_matrix(p, q - 1), self.boundary_matrix(p, q))
+                if any(map(any, dd)):
+                    raise ComplexError(f"boundary squared nonzero at p={p}, q={q}")
 
     @property
     def max_dim(self):
@@ -93,7 +99,10 @@ class CellComplex:
         return sum(comb(self._ranks[c.id], p) for c in self.cells_of_dim(q))
 
     def boundary_matrix(self, p, q):
-        """D_q : C_{p,q} -> C_{p,q-1} as an integer matrix (rows = target)."""
+        """D_q : C_{p,q} -> C_{p,q-1} as an integer matrix (rows = target),
+        built once per complex and returned as a tuple of row tuples."""
+        if (p, q) in self._bounds:
+            return self._bounds[p, q]
         src = self.cells_of_dim(q)
         dst = self.cells_of_dim(q - 1)
         col_off, off = {}, 0
@@ -117,21 +126,14 @@ class CellComplex:
             for i, row in enumerate(block):
                 for j, v in enumerate(row):
                     mat[r0 + i][c0 + j] += a.sign * v
-        return mat
+        self._bounds[p, q] = tuple(map(tuple, mat))
+        return self._bounds[p, q]
 
-    def _check_boundary_squared(self, p):
-        for q in range(2, self.max_dim + 1):
-            d1 = self.boundary_matrix(p, q)
-            d2 = self.boundary_matrix(p, q - 1)
-            if not d1 or not d2:
-                continue
-            for j in range(len(d1[0])):
-                col = [row[j] for row in d1]
-                for i in range(len(d2)):
-                    if sum(d2[i][k] * col[k] for k in range(len(col))):
-                        raise ComplexError(
-                            f"boundary squared nonzero at p={p}, q={q}"
-                        )
+    def _smith(self, p, q):
+        """The nonzero Smith invariant factors of D_q, reduced once."""
+        if (p, q) not in self._invariants:
+            self._invariants[p, q] = smith_invariants(self.boundary_matrix(p, q))
+        return self._invariants[p, q]
 
 
 @frozen
@@ -146,13 +148,9 @@ class Homology:
 
 def homology(x, p, q):
     """H_{p,q}(X) = ker D_q / im D_{q+1} with F_p coefficients."""
-    n = x.chain_rank(p, q)
-    d_out = x.boundary_matrix(p, q) if q > 0 else []
-    d_in = x.boundary_matrix(p, q + 1)
-    r_out = rank(d_out)
-    r_in = rank(d_in)
-    torsion = tuple(d for d in smith_invariants(d_in) if d > 1)
-    return Homology(n - r_out - r_in, torsion)
+    d_in = x._smith(p, q + 1)
+    free = x.chain_rank(p, q) - len(x._smith(p, q)) - len(d_in)
+    return Homology(free, tuple(d for d in d_in if d > 1))
 
 
 def diamond(x):

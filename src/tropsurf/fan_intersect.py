@@ -12,7 +12,6 @@ from math import gcd
 from . import bergman, fan_cycles
 from . import matroid as mt
 from .errors import CycleError, FanError
-from .intlinalg import solve
 
 
 def _rays_by_boundary_point(plane, cycle):
@@ -35,11 +34,7 @@ def _chart_pair(plane, flat, rays1, rays2):
     u_flat = plane.basis.direction(flat)
 
     def in_face(v, i):
-        u_i = plane.basis.direction([i])
-        n = len(v)
-        cols = [[u_i[k], u_flat[k]] for k in range(n)]
-        ab = solve(cols, list(v))
-        return ab is not None and ab[0] >= 0 and ab[1] >= 0
+        return bergman._in_sector(v, plane.basis.direction([i]), u_flat)
 
     all_rays = [d for d, _, _ in rays1 + rays2]
     for i, j in combinations(flat_sorted, 2):

@@ -3,9 +3,10 @@
 Everything in this package works with tiny matrices (ambient dimensions
 are single digits, chain groups a few dozen).  Determinants stay in the
 integers by fraction-free (Bareiss) elimination and Smith reduction is
-textbook row/column reduction on Python ints; `solve`, `rank` and
-`symmetric_signature` use Fraction Gaussian elimination, since their
-answers or intermediate pivots are rational.  All arithmetic is exact.
+textbook row/column reduction on Python ints, whose nonzero invariant
+factors also give the rank; `solve` and `symmetric_signature` use
+Fraction Gaussian elimination, since their answers or intermediate pivots
+are rational.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -70,29 +71,6 @@ def solve(rows, rhs):
         if a[r][n] != 0:
             return None
     return [a[i][n] for i in range(n)]
-
-
-def rank(rows):
-    """Rank over QQ."""
-    if not rows or not rows[0]:
-        return 0
-    m, n = len(rows), len(rows[0])
-    a = [[Fraction(x) for x in row] for row in rows]
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, m):
-            if a[i][col] != 0:
-                f = a[i][col] / a[r][col]
-                for c in range(col, n):
-                    a[i][c] -= f * a[r][c]
-        r += 1
-        if r == m:
-            break
-    return r
 
 
 def primitive(vec):

@@ -495,6 +495,46 @@ class TestErrors:
         assert json.loads(out_file.read_text())["rank"] == 3
 
 
+class TestWorkBoundedByInput:
+    """A large dim with no rays is answered without building a basis."""
+
+    @pytest.fixture
+    def bases(self, monkeypatch):
+        from tropsurf import bergman
+
+        built, real = [], bergman.Basis
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bergman, "Basis", counting)
+        monkeypatch.setattr(bergman, "_STANDARD_BASES", {})
+        return built
+
+    @pytest.mark.parametrize(
+        "rays, message",
+        [
+            ([], "an empty fan is a plane only in dimension 2"),
+            ([{"dir": [1, 0]}], "rays[0] has 2 entries, expected dim = 80"),
+        ],
+        ids=["empty-fan", "short-ray"],
+    )
+    def test_fan_reconstruct(self, capsys, files, bases, rays, message):
+        fan = files("fan.json", {"dim": 80, "rays": rays, "cones": []})
+        rc, out, err = run(capsys, RECONSTRUCT + [fan])
+        assert rc == 1 and out == ""
+        assert message in err
+        assert bases == []
+
+    def test_cycle_degree_without_rays(self, capsys, files, bases):
+        cycle = files("cycle.json", {"dim": 80, "rays": []})
+        rc, out, _ = run(capsys, ["cycle", "degree", "--json", "--cycle", cycle])
+        assert rc == 0
+        assert json.loads(out) == {"balanced": True, "degree": 0, "dim": 80}
+        assert bases == []
+
+
 class TestImportFootprint:
     """Each subcommand imports only the library layers it uses; checked in a
     fresh interpreter, since this one has imported every layer already."""

@@ -42,6 +42,8 @@ class TestIntLinalg:
         snf = smith_normal_form(sympy.Matrix(a))
         theirs = [abs(snf[i, i]) for i in range(min(m, n)) if snf[i, i] != 0]
         assert ours == theirs
+        # homology takes its ranks from the number of invariant factors
+        assert len(ours) == sympy.Matrix(a).rank()
 
     def test_smith_divisibility(self):
         inv = il.smith_invariants([[2, 0], [0, 3]])
@@ -61,12 +63,6 @@ class TestIntLinalg:
             il.exterior_power(b, p, shape=(m, n)),
         )
         assert left == right
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.randoms(use_true_random=False))
-    def test_rank_matches_sympy(self, rng):
-        a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        assert il.rank(a) == sympy.Matrix(a).rank()
 
     @settings(max_examples=30, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -124,8 +120,16 @@ class TestValidation:
             ch.Attachment("e", "b", 1, ((1,),)),
             ch.Attachment("f", "e", 1, ((1,),)),
         )
-        with pytest.raises(ComplexError):
+        with pytest.raises(ComplexError, match=r"^boundary squared nonzero at p=0, q=2$"):
             ch.CellComplex(cells, atts, (("a", 1), ("b", 1), ("e", 1), ("f", 1)))
+
+    def test_klein_with_a_flipped_face_sign_fails_only_at_p1(self):
+        # F1 -> E1 with the wrong sign: the constant coefficients cannot
+        # see it, the transported ones can
+        obj = load_data("klein_bottle.json")
+        obj["incidences"][6]["sign"] *= -1
+        with pytest.raises(ComplexError, match=r"^boundary squared nonzero at p=1, q=2$"):
+            ch.parse_complex(obj)
 
 
 KLEIN_DIAMOND = {
@@ -165,6 +169,35 @@ class TestDiamonds:
         assert str(ch.homology(klein, 0, 0)) == "Z"
         assert str(ch.homology(klein, 0, 1)) == "Z + Z/2"
         assert str(ch.homology(klein, 0, 2)) == "0"
+
+
+class TestOneBuildPerMatrix:
+    def test_diamond_builds_and_reduces_each_boundary_once(self, monkeypatch):
+        powers, reduced = [], []
+
+        def power(rows, p, shape=None):
+            powers.append(p)
+            return il.exterior_power(rows, p, shape)
+
+        def smith(rows):
+            reduced.append(rows)
+            return il.smith_invariants(rows)
+
+        monkeypatch.setattr(ch, "exterior_power", power)
+        monkeypatch.setattr(ch, "smith_invariants", smith)
+        x = ch.parse_complex(load_data("torus.json"))
+        assert len(powers) == len(x.attachments) * (x.max_rank + 1)
+        for _ in range(2):
+            assert {k: str(v) for k, v in ch.diamond(x).items()} == TORUS_DIAMOND
+        assert len(powers) == len(x.attachments) * (x.max_rank + 1)
+        stored = [
+            x.boundary_matrix(p, q)
+            for p in range(x.max_rank + 1)
+            for q in range(x.max_dim + 2)
+        ]
+        # two diamonds, one Smith reduction of each stored D_{p,q}
+        assert len(reduced) == len(stored)
+        assert all(any(rows is d for d in stored) for rows in reduced)
 
 
 def random_graph_complex(rng):
@@ -221,12 +254,13 @@ class TestConstantCoefficientOracle:
             )
             assert h0.torsion == tor
 
-    def test_klein_oracle(self, klein):
-        # same check on the named surface complex
-        d1 = sympy.Matrix(klein.boundary_matrix(0, 1))
-        d2 = sympy.Matrix(klein.boundary_matrix(0, 2))
-        assert ch.homology(klein, 0, 1).free_rank == (
-            klein.chain_rank(0, 1) - d1.rank() - d2.rank()
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_klein_oracle(self, klein, p):
+        # the free rank of H_{p,1} from sympy's ranks of the two boundaries
+        d1 = sympy.Matrix(klein.boundary_matrix(p, 1))
+        d2 = sympy.Matrix(klein.boundary_matrix(p, 2))
+        assert ch.homology(klein, p, 1).free_rank == (
+            klein.chain_rank(p, 1) - d1.rank() - d2.rank()
         )
 
 
