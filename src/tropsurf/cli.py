@@ -25,7 +25,10 @@ import sys
 # Only the error types load with the CLI: each subcommand imports the
 # library layers it uses in its own body, so a one-shot process loads (and
 # compiles) just those.
-from .errors import TropsurfError
+from .errors import (
+    ComplexError, CycleError, FanError, MatroidError, TropsurfError,
+    field, integer, integers, integral, items,
+)
 
 
 def _color_enabled():
@@ -54,58 +57,26 @@ def _load(path):
         raise TropsurfError(f"{path} is nested too deeply to read") from exc
 
 
-def _key(obj, key, where):
-    """obj[key], or a TropsurfError naming the missing key and where."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise TropsurfError(f"{where}: missing key '{key}'")
-    return obj[key]
-
-
-def _integral(x):
-    return isinstance(x, int) or (isinstance(x, float) and x.is_integer())
-
-
-def _int(obj, key, where):
-    """obj[key] as an int, or a TropsurfError naming the key and where."""
-    value = _key(obj, key, where)
-    if not _integral(value):
-        raise TropsurfError(f"{where}: {key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _list(item, where, what):
-    """item if it is a list, or a TropsurfError naming where."""
-    if not isinstance(item, list):
-        raise TropsurfError(f"{where} must be a list of {what}, got {item!r}")
-    return item
-
-
-def _integers(item, where, what="integers"):
-    """A list of integers as a tuple, or a TropsurfError naming where."""
-    if not all(_integral(x) for x in _list(item, where, what)):
-        raise TropsurfError(f"{where} must be a list of {what}, got {item!r}")
-    return tuple(item)
-
-
 def load_matroid(path):
     from . import matroid as mt
 
     obj = _load(path)
     if not isinstance(obj, dict) or not ("lines" in obj or "flats" in obj):
-        raise TropsurfError(f"{path}: matroid files need a 'lines' or 'flats' key")
-    n = _int(obj, "n", path)
+        raise MatroidError(f"{path}: matroid files need a 'lines' or 'flats' key")
+    n = integer(field(obj, "n", path, MatroidError), f"{path}: n", MatroidError)
+    elements = "integer elements"
     if "lines" in obj:
-        lines = [
-            _integers(line, f"{path}: lines[{k}]", "integer elements")
-            for k, line in enumerate(_list(obj["lines"], f"{path}: lines", "lines"))
-        ]
-        return mt.from_lines(n, lines)
+        lines = items(obj["lines"], f"{path}: lines", "lines", MatroidError)
+        return mt.from_lines(n, [
+            integers(line, f"{path}: lines[{k}]", MatroidError, elements)
+            for k, line in enumerate(lines)
+        ])
     levels = tuple(
         tuple(
-            frozenset(_integers(f, f"{path}: flats[{r}][{k}]", "integer elements"))
-            for k, f in enumerate(_list(level, f"{path}: flats[{r}]", "flats"))
+            frozenset(integers(f, f"{path}: flats[{r}][{k}]", MatroidError, elements))
+            for k, f in enumerate(items(level, f"{path}: flats[{r}]", "flats", MatroidError))
         )
-        for r, level in enumerate(_list(obj["flats"], f"{path}: flats", "levels"))
+        for r, level in enumerate(items(obj["flats"], f"{path}: flats", "levels", MatroidError))
     )
     return mt.Matroid(n, levels)
 
@@ -115,11 +86,14 @@ def load_cycle(path):
 
     obj = _load(path)
     rays = []
-    for k, r in enumerate(_list(_key(obj, "rays", path), f"{path}: rays", "rays")):
+    listed = items(field(obj, "rays", path, CycleError), f"{path}: rays", "rays", CycleError)
+    for k, r in enumerate(listed):
         where = f"{path}: rays[{k}]"
-        direction = _integers(_key(r, "dir", where), f"{where}.dir")
-        rays.append((direction, _int(r, "weight", where)))
-    return fan_cycles.FanCycle(_int(obj, "dim", path), tuple(rays))
+        direction = integers(field(r, "dir", where, CycleError), f"{where}.dir", CycleError)
+        weight = field(r, "weight", where, CycleError)
+        rays.append((direction, integer(weight, f"{where}.weight", CycleError)))
+    dim = integer(field(obj, "dim", path, CycleError), f"{path}: dim", CycleError)
+    return fan_cycles.FanCycle(dim, tuple(rays))
 
 
 def fan_to_json(plane):
@@ -215,19 +189,22 @@ def cmd_fan_reconstruct(args):
 
     path = args.fan
     obj = _load(path)
-    rays = [
-        _integers(_key(r, "dir", f"{path}: rays[{k}]"), f"{path}: rays[{k}].dir")
-        for k, r in enumerate(_list(_key(obj, "rays", path), f"{path}: rays", "rays"))
-    ]
+    rays = []
+    listed = items(field(obj, "rays", path, FanError), f"{path}: rays", "rays", FanError)
+    for k, r in enumerate(listed):
+        where = f"{path}: rays[{k}]"
+        rays.append(integers(field(r, "dir", where, FanError), f"{where}.dir", FanError))
     cones = []
-    for k, c in enumerate(_list(_key(obj, "cones", path), f"{path}: cones", "cones")):
+    listed = items(field(obj, "cones", path, FanError), f"{path}: cones", "cones", FanError)
+    for k, c in enumerate(listed):
         if not (isinstance(c, list) and len(c) == 2
-                and all(_integral(i) and 0 <= i < len(rays) for i in c)):
-            raise TropsurfError(
+                and all(integral(i) and 0 <= i < len(rays) for i in c)):
+            raise FanError(
                 f"{path}: cones[{k}] must be a pair of indices into rays, got {c!r}"
             )
         cones.append((int(c[0]), int(c[1])))
-    m = bergman.reconstruct_matroid(rays, cones, _int(obj, "dim", path))
+    dim = integer(field(obj, "dim", path, FanError), f"{path}: dim", FanError)
+    m = bergman.reconstruct_matroid(rays, cones, dim)
     payload = matroid_to_json(m)
     lines = [
         f"reconstructed matroid on {m.n} elements",
@@ -298,7 +275,7 @@ def cmd_intersect_bezout(args):
 def cmd_surface_check(args):
     from . import surface_calculus as sc
 
-    x = sc.parse_surface(_load(args.expr))
+    x = sc.parse_surface(_load(args.expr), args.expr)
     payload = sc.surface_report(x)
     payload["adjunction"] = [
         {"id": i, "holds": sc.adjunction_check(x, i)["holds"]} for i, _ in x.ledger
@@ -339,11 +316,13 @@ def cmd_homology_pairing(args):
     from . import cosheaf_homology
 
     x = cosheaf_homology.parse_complex(_load(args.complex), args.complex)
-    cycles = _key(_load(args.cycles), "cycles", args.cycles)
+    cycles = field(_load(args.cycles), "cycles", args.cycles, ComplexError)
     if not isinstance(cycles, dict):
-        raise TropsurfError(f"{args.cycles}: 'cycles' must map names to cycles")
+        raise ComplexError(
+            f"{args.cycles}: cycles must be an object of named cycles, got {cycles!r}"
+        )
     if not cycles:
-        raise TropsurfError(f"{args.cycles}: 'cycles' is empty")
+        raise ComplexError(f"{args.cycles}: 'cycles' is empty")
     cycles = {
         name: cosheaf_homology.parse_cycle(c, x, f"{args.cycles}: cycles.{name}")
         for name, c in cycles.items()

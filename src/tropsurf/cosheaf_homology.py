@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from ._frozen import frozen
-from .errors import ComplexError
+from .errors import ComplexError, field, integer, integers, integral, items
 from .intlinalg import (
     exterior_power,
     matmul,
@@ -165,69 +165,49 @@ def diamond(x):
 # -- JSON --------------------------------------------------------------------
 
 
-def _is_int(v):
-    return isinstance(v, int) or (isinstance(v, float) and v.is_integer())
-
-
-def _value(item, key, at):
-    """item[key], or a ComplexError naming the missing key and where."""
-    if not isinstance(item, dict) or key not in item:
-        raise ComplexError(f"{at}: missing key {key!r}" if at else f"missing key {key!r}")
-    return item[key]
-
-
-def _integer(v, at, low=None):
-    if not _is_int(v) or (low is not None and v < low):
-        kind = "an integer" if low is None else f"an integer >= {low}"
-        raise ComplexError(f"{at} must be {kind}, got {v!r}")
-    return int(v)
-
-
 def parse_complex(obj, where=""):
     """A CellComplex from ``{"cells": [{"id", "dim"}, ...], "f1_rank": r or
     {cell id: r}, "incidences": [{"big", "small", "sign", "iota1"}, ...]}``.
     Input errors name the item, such as ``incidences[3].iota1``, after
     ``where: `` when ``where`` is given."""
     pre = f"{where}: " if where else ""
-
-    def items(key):
-        value = _value(obj, key, where)
-        if not isinstance(value, (list, tuple)):
-            raise ComplexError(f"{pre}{key!r} must be a list, got {value!r}")
-        return value
-
     cells = []
-    for k, c in enumerate(items("cells")):
+    listed = items(field(obj, "cells", where, ComplexError), f"{pre}cells", "cells",
+                   ComplexError)
+    for k, c in enumerate(listed):
         at = f"{pre}cells[{k}]"
-        cell_id = str(_value(c, "id", at))
-        cells.append(Cell(cell_id, _integer(_value(c, "dim", at), f"{at}.dim")))
+        cell_id = str(field(c, "id", at, ComplexError))
+        dim = integer(field(c, "dim", at, ComplexError), f"{at}.dim", ComplexError)
+        cells.append(Cell(cell_id, dim))
     if not cells:
         raise ComplexError(f"{pre}'cells' is empty")
     ranks = obj.get("f1_rank", 2)
-    if _is_int(ranks):
-        f1 = tuple((c.id, _integer(ranks, f"{pre}f1_rank", 0)) for c in cells)
+    if integral(ranks):
+        f1 = tuple((c.id, integer(ranks, f"{pre}f1_rank", ComplexError, 0)) for c in cells)
     elif isinstance(ranks, dict):
         f1 = tuple(
-            (str(k), _integer(v, f"{pre}f1_rank.{k}", 0)) for k, v in ranks.items()
+            (str(k), integer(v, f"{pre}f1_rank.{k}", ComplexError, 0)) for k, v in ranks.items()
         )
     else:
         raise ComplexError(
             f"{pre}f1_rank must be an integer or map cell ids to integers, got {ranks!r}"
         )
     atts = []
-    for k, a in enumerate(items("incidences")):
+    listed = items(field(obj, "incidences", where, ComplexError), f"{pre}incidences",
+                   "incidences", ComplexError)
+    for k, a in enumerate(listed):
         at = f"{pre}incidences[{k}]"
-        big, small = str(_value(a, "big", at)), str(_value(a, "small", at))
-        sign = _value(a, "sign", at)
-        if sign not in (1, -1):
+        big, small, sign, iota1 = (
+            field(a, key, at, ComplexError) for key in ("big", "small", "sign", "iota1")
+        )
+        if not integral(sign) or sign not in (1, -1):
             raise ComplexError(f"{at}.sign must be 1 or -1, got {sign!r}")
-        iota1 = _value(a, "iota1", at)
         if not isinstance(iota1, (list, tuple)) or not all(
-            isinstance(row, (list, tuple)) and all(map(_is_int, row)) for row in iota1
+            isinstance(row, (list, tuple)) and all(map(integral, row)) for row in iota1
         ):
             raise ComplexError(f"{at}.iota1 must be a list of integer rows, got {iota1!r}")
         iota1 = tuple(tuple(int(v) for v in row) for row in iota1)
-        atts.append(Attachment(big, small, int(sign), iota1))
+        atts.append(Attachment(str(big), str(small), int(sign), iota1))
     return CellComplex(tuple(cells), tuple(atts), f1)
 
 
@@ -384,6 +364,8 @@ def signature_1_1(basis):
 
 
 def _is_number(v):
+    if isinstance(v, bool):
+        return False
     try:
         Fraction(v)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
@@ -396,31 +378,29 @@ def parse_cycle(obj, x=None, where="cycle"):
     "coeff"}, ...]}``.  Given the complex ``x``, each segment must lie on a
     2-cell of ``x`` and carry a coefficient of that cell's F_1 rank.  Input
     errors name the segment as ``where.segments[k]``."""
-    segments = obj.get("segments") if isinstance(obj, dict) else None
-    if not isinstance(segments, (list, tuple)):
-        raise ComplexError(f"{where}: 'segments' must be a list of segments")
+    segments = items(field(obj, "segments", where, ComplexError), f"{where}.segments",
+                     "segments", ComplexError)
     faces = None if x is None else {c.id for c in x.cells_of_dim(2)}
     out = []
     for k, s in enumerate(segments):
         at = f"{where}.segments[{k}]"
-        for key in ("face", "start", "end", "coeff"):
-            if not isinstance(s, dict) or key not in s:
-                raise ComplexError(f"{at}: missing key '{key}'")
-        face, coeff = str(s["face"]), s["coeff"]
+        face, start, end, coeff = (
+            field(s, key, at, ComplexError) for key in ("face", "start", "end", "coeff")
+        )
+        face = str(face)
         if faces is not None and face not in faces:
             raise ComplexError(f"{at}: face {face!r} is not a 2-cell of the complex")
-        for key in ("start", "end"):
-            if not isinstance(s[key], (list, tuple)) or not all(map(_is_number, s[key])):
-                raise ComplexError(f"{at}: {key} must be a list of numbers, got {s[key]!r}")
-        if not isinstance(coeff, (list, tuple)) or not all(map(_is_int, coeff)):
-            raise ComplexError(f"{at}: coeff must be a list of integers, got {coeff!r}")
+        for key, v in (("start", start), ("end", end)):
+            if not isinstance(v, (list, tuple)) or not all(map(_is_number, v)):
+                raise ComplexError(f"{at}.{key} must be a list of numbers, got {v!r}")
+        coeff = integers(coeff, f"{at}.coeff", ComplexError)
         if x is not None and len(coeff) != x._ranks[face]:
             raise ComplexError(
                 f"{at}: coeff must have {x._ranks[face]} entries, the F_1 rank of "
-                f"{face}, got {coeff!r}"
+                f"{face}, got {list(coeff)!r}"
             )
         try:
-            out.append(Segment(face, tuple(s["start"]), tuple(s["end"]), tuple(coeff)))
+            out.append(Segment(face, tuple(start), tuple(end), coeff))
         except ComplexError as exc:
             raise ComplexError(f"{at}: {exc}") from None
     return OneOneCycle(tuple(out))

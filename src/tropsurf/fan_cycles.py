@@ -89,6 +89,10 @@ def degree_over_bases(cycle, bases):
 
 
 def lies_in(cycle, plane):
+    if cycle.dim != plane.ambient_dim:
+        raise CycleError(
+            f"cycle has dim {cycle.dim}, but the plane lies in R^{plane.ambient_dim}"
+        )
     return all(plane.contains_direction(d) for d, _ in cycle.rays)
 
 

@@ -79,25 +79,22 @@ def corner_multiplicities(plane, c1, c2):
 
 def vertex_multiplicity(plane, c1, c2):
     """(C1 . C2)_vertex = deg C1 * deg C2 - sum of corner multiplicities."""
-    d1 = fan_cycles.degree(c1, plane.basis)
-    d2 = fan_cycles.degree(c2, plane.basis)
-    return d1 * d2 - sum(corner_multiplicities(plane, c1, c2).values())
+    return bezout(plane, c1, c2)["vertex"]
 
 
 def bezout(plane, c1, c2):
-    """Full intersection report; total always equals deg C1 * deg C2."""
+    """Full intersection report; total always equals deg C1 * deg C2.  The
+    corners come first: they check that both cycles lie in the plane."""
+    corners = corner_multiplicities(plane, c1, c2)
     d1 = fan_cycles.degree(c1, plane.basis)
     d2 = fan_cycles.degree(c2, plane.basis)
-    corners = corner_multiplicities(plane, c1, c2)
     vertex = d1 * d2 - sum(corners.values())
-    total = vertex + sum(corners.values())
-    assert total == d1 * d2
     return {
         "deg1": d1,
         "deg2": d2,
         "vertex": vertex,
         "corners": {tuple(sorted(f)): v for f, v in sorted(corners.items(), key=lambda kv: sorted(kv[0]))},
-        "total": total,
+        "total": vertex + sum(corners.values()),
     }
 
 

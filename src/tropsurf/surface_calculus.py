@@ -13,8 +13,8 @@ The calculus implements:
   self_sum  -- glue a surface to itself along two disjoint such curves
   modify    -- a locally degree-1 modification along a curve; invariants
                are unchanged, the centre joins the ledger
-  contract  -- remove a (-1)-curve, implemented as the sum with the cone
-               plane over a line (a plane with the invariants of TP^2)
+  contract  -- remove a rational (-1)-curve (Castelnuovo-Enriques); the
+               curves that crossed it gain +1 and cross each other
 
 Noether's identity 12 chi = K^2 + c2 is asserted on every node.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 from ._frozen import frozen, replace
-from .errors import SurfaceError
+from .errors import SurfaceError, field, integer, integers
 
 
 # -- curves ------------------------------------------------------------------
@@ -282,30 +282,25 @@ def modify(x, curve, self_intersection, new_id, locally_degree_1=True):
     return Surface(x.chi, x.k2, x.c2, ledger)
 
 
-def cone_plane(curve):
-    """The plane used to contract a (-1)-curve: the cone over a line with
-    the same leaf structure as the curve.  Whatever the number of leaves,
-    its invariants are those of TP^2, and its distinguished boundary line
-    has self-intersection +1."""
-    if curve.b1 != 0:
-        raise SurfaceError("cone planes exist over rational curves only")
-    return Surface(1, 9, 3, (("L", LedgerEntry(curve, 1)),))
-
-
 def contract(x, curve_id):
-    """Contract a rational (-1) boundary curve: chi is unchanged, K^2 goes
-    up by 1 and c2 down by 1.  Implemented as the sum with the cone plane
-    over a line; only the original surface's ledger survives."""
+    """Contract a rational (-1) boundary curve E: chi is unchanged, K^2 goes
+    up by 1 and c2 down by 1.  E leaves the ledger; each curve that crossed
+    E gains +1 in self-intersection and now crosses the other curves that
+    crossed E."""
     e = x.entry(curve_id)
     if e.curve.b1 != 0:
         raise SurfaceError("only rational curves can be contracted")
     if e.self_intersection != -1:
         raise SurfaceError("contraction needs self-intersection -1")
-    summed = tropical_sum(x, curve_id, cone_plane(e.curve), "L")
-    ledger = tuple(
-        (i[2:], e2) for i, e2 in summed.ledger if i.startswith("a.")
-    )
-    return Surface(summed.chi, summed.k2, summed.c2, ledger)
+    met = {i for i, f in x.ledger if curve_id in f.crossings}
+    ledger = []
+    for i, f in x.ledger:
+        if i in met:
+            f = replace(f, self_intersection=f.self_intersection + 1,
+                        crossings=(f.crossings | met) - {i, curve_id})
+        if i != curve_id:
+            ledger.append((i, f))
+    return Surface(x.chi, x.k2 + 1, x.c2 - 1, tuple(ledger))
 
 
 # -- checks ------------------------------------------------------------------
@@ -365,40 +360,16 @@ def adjunction_check(x, curve_id):
 # -- JSON expression trees ---------------------------------------------------
 
 
-def _at(path, message):
-    return f"{path}: {message}" if path else message
-
-
-def _field(body, key, path):
-    """body[key] of the expression node at ``path``."""
-    if key not in body:
-        raise SurfaceError(_at(path, f"missing key {key!r}"))
-    return body[key]
-
-
-def _is_int(v):
-    return isinstance(v, int) or (isinstance(v, float) and v.is_integer())
-
-
-def _integers(items, where):
-    if not isinstance(items, (list, tuple)) or not all(map(_is_int, items)):
-        raise SurfaceError(f"{where} must be a list of integers, got {items!r}")
-    return tuple(int(v) for v in items)
-
-
-def _integer(body, key, path):
-    v = _field(body, key, path)
-    if not _is_int(v):
-        raise SurfaceError(f"{path}.{key} must be an integer, got {v!r}")
-    return int(v)
+def _at(where, path, message):
+    return ": ".join(filter(None, (where, path, message)))
 
 
 def parse_curve(obj, path="curve"):
     if not isinstance(obj, dict):
         raise SurfaceError(f"{path} must be an object, got {obj!r}")
     return CurveDescriptor(
-        _integer(obj, "b1", path),
-        _integers(obj.get("valencies", ()), f"{path}.valencies"),
+        integer(field(obj, "b1", path, SurfaceError), f"{path}.b1", SurfaceError),
+        integers(obj.get("valencies", []), f"{path}.valencies", SurfaceError),
     )
 
 
@@ -412,36 +383,39 @@ _OPERANDS = {
 }
 
 
-def parse_surface(obj, path=""):
+def parse_surface(obj, where="", path=""):
     """Build a Surface from a nested expression object; see the README for
     the schema.  Exactly one of the operation keys must be present.  Input
     errors name the node by its path of keys, such as
-    ``selfsum.base.toric``."""
+    ``selfsum.base.toric``, after ``where: `` when ``where`` is given."""
     if not isinstance(obj, dict) or len(obj) != 1:
-        raise SurfaceError(_at(path, "surface expression must have exactly one operation"))
+        raise SurfaceError(
+            _at(where, path, "surface expression must have exactly one operation")
+        )
     (op, body), = obj.items()
     if op not in _OPERANDS:
-        raise SurfaceError(_at(path, f"unknown surface operation {op!r}"))
+        raise SurfaceError(_at(where, path, f"unknown surface operation {op!r}"))
     path = f"{path}.{op}" if path else op
+    node = f"{where}: {path}" if where else path
     if not isinstance(body, dict):
-        raise SurfaceError(f"{path} must be an object, got {body!r}")
+        raise SurfaceError(f"{node} must be an object, got {body!r}")
     # one Python frame per level of nesting: a plain loop, no helper call
     sub = []
     for key in _OPERANDS[op]:
-        sub.append(parse_surface(_field(body, key, path), f"{path}.{key}"))
+        sub.append(parse_surface(field(body, key, node, SurfaceError), where, f"{path}.{key}"))
 
     def name(key):
-        return str(_field(body, key, path))
+        return str(field(body, key, node, SurfaceError))
 
     if op == "toric":
-        rays = _field(body, "rays", path)
+        rays = field(body, "rays", node, SurfaceError)
         if not isinstance(rays, (list, tuple)) or any(
             not isinstance(r, (list, tuple)) or len(r) != 2 for r in rays
         ):
-            raise SurfaceError(f"{path}.rays must be a list of integer pairs, got {rays!r}")
-        return toric_surface(
-            Fan2D(tuple(_integers(r, f"{path}.rays[{k}]") for k, r in enumerate(rays)))
-        )
+            raise SurfaceError(f"{node}.rays must be a list of integer pairs, got {rays!r}")
+        return toric_surface(Fan2D(tuple(
+            integers(r, f"{node}.rays[{k}]", SurfaceError) for k, r in enumerate(rays)
+        )))
     if op == "sum":
         return tropical_sum(sub[0], name("left_curve"), sub[1], name("right_curve"))
     if op == "selfsum":
@@ -449,8 +423,9 @@ def parse_surface(obj, path=""):
     if op == "modify":
         return modify(
             sub[0],
-            parse_curve(_field(body, "curve", path), f"{path}.curve"),
-            _integer(body, "self_intersection", path),
+            parse_curve(field(body, "curve", node, SurfaceError), f"{node}.curve"),
+            integer(field(body, "self_intersection", node, SurfaceError),
+                    f"{node}.self_intersection", SurfaceError),
             name("id"),
             bool(body.get("locally_degree_1", True)),
         )

@@ -304,7 +304,7 @@ class TestErrors:
             (
                 ["cycle", "degree", "--cycle"],
                 {"dim": 3, "rays": [{"dir": [1, 0, 0], "weight": "x"}]},
-                "rays[0]: weight must be an integer, got 'x'",
+                "rays[0].weight must be an integer, got 'x'",
             ),
             (
                 ["fan", "reconstruct", "--fan"],
@@ -359,7 +359,7 @@ class TestErrors:
             (
                 PAIR_WITH_TORUS,
                 _torus_cycles(lambda seg: seg.update(start=["x", "0"])),
-                "cycles.alpha.segments[0]: start must be a list of numbers",
+                "cycles.alpha.segments[0].start must be a list of numbers",
             ),
             (DIAMOND, {"incidences": []}, "missing key 'cells'"),
             (DIAMOND, {"cells": [], "incidences": []}, "'cells' is empty"),
@@ -420,6 +420,17 @@ class TestErrors:
                 {"dim": 2, "rays": TWO_RAYS, "cones": [[0, 1], [0, 5]]},
                 "cones[1] must be a pair of indices into rays, got [0, 5]",
             ),
+            (["matroid", "info", "--matroid"], {"n": True, "lines": []},
+             "n must be an integer, got True"),
+            (["cycle", "degree", "--json", "--cycle"], {"dim": True, "rays": []},
+             "dim must be an integer, got True"),
+            (DIAMOND, json.loads(json.dumps(load_data("torus.json")).replace(
+                '"sign": 1', '"sign": true')),
+             "incidences[0].sign must be 1 or -1, got True"),
+            (["surface", "check", "--expr"],
+             {"modify": {"base": {"toric": {"rays": [[1, 0], [0, 1], [-1, -1]]}},
+                         "curve": {"b1": False}, "self_intersection": 0, "id": "E"}},
+             "modify.curve.b1 must be an integer, got False"),
         ],
         ids=[
             "no-rays",
@@ -452,6 +463,10 @@ class TestErrors:
             "fan-short-cone",
             "fan-string-cone",
             "fan-cone-out-of-range",
+            "bool-matroid-n",
+            "bool-cycle-dim",
+            "bool-complex-sign",
+            "bool-surface-b1",
         ],
     )
     def test_malformed_input_names_the_item(self, capsys, files, argv, obj, message):
@@ -460,6 +475,33 @@ class TestErrors:
         assert rc == 1
         assert out == ""
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "argv, obj, location, got",
+        [
+            (["matroid", "info", "--matroid"], {"n": 4.5, "lines": []}, "n", "4.5"),
+            (RECONSTRUCT, {"dim": 2.5, "rays": TWO_RAYS, "cones": []}, "dim", "2.5"),
+            (["cycle", "degree", "--cycle"],
+             {"dim": 2, "rays": [{"dir": [1, 0], "weight": 1}, {"dir": [-1, 0], "weight": 0.5}]},
+             "rays[1].weight", "0.5"),
+            (["surface", "check", "--expr"],
+             {"sum": {"left": {"toric": {"rays": [[1, 0], [0, 1], [-1, -1]]}},
+                      "left_curve": "D0", "right_curve": "E",
+                      "right": {"modify": {"base": {"toric": {"rays": [[1, 0], [0, 1], [-1, -1]]}},
+                                           "curve": {"b1": 0, "valencies": [1, 1]},
+                                           "self_intersection": [-1], "id": "E"}}}},
+             "sum.right.modify.self_intersection", "[-1]"),
+            (DIAMOND, {"cells": [{"id": "v", "dim": 0}, {"id": "e", "dim": "1"}],
+                       "incidences": []},
+             "cells[1].dim", "'1'"),
+        ],
+        ids=["matroid", "fan", "cycle", "surface", "complex"],
+    )
+    def test_one_message_form(self, capsys, files, argv, obj, location, got):
+        bad = files("bad.json", obj)
+        rc, out, err = run(capsys, argv + [bad])
+        assert rc == 1 and out == ""
+        assert err == f"error: {bad}: {location} must be an integer, got {got}\n"
 
     def test_expression_past_the_recursion_limit_exits_1(self, capsys, tmp_path):
         # built as a string: json.dump itself recurses on input this deep
@@ -493,6 +535,38 @@ class TestErrors:
         assert rc == 0
         assert out == ""
         assert json.loads(out_file.read_text())["rank"] == 3
+
+
+# the tropical line in R^4: balanced, one dimension more than U_{3,4}'s plane
+LINE4 = {
+    "dim": 4,
+    "rays": [{"dir": d, "weight": 1} for d in
+             ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1])],
+}
+
+
+class TestCycleAndPlaneDimensions:
+    """A cycle whose dim differs from the plane's ambient dimension exits 1
+    naming both dimensions, whether it is shorter or longer."""
+
+    @pytest.fixture(params=["shorter", "longer"])
+    def mismatch(self, request, files, conic_file, braid_file, u34_file):
+        if request.param == "shorter":
+            return conic_file, braid_file, "cycle has dim 3, but the plane lies in R^5"
+        return files("line4.json", LINE4), u34_file, "cycle has dim 4, but the plane lies in R^3"
+
+    def test_cycle_degree(self, capsys, mismatch):
+        cycle, matroid, message = mismatch
+        rc, out, err = run(capsys, ["cycle", "degree", "--cycle", cycle, "--matroid", matroid])
+        assert rc == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_intersect_bezout(self, capsys, mismatch):
+        cycle, matroid, message = mismatch
+        rc, out, err = run(capsys, ["intersect", "bezout", "--matroid", matroid,
+                                    "--cycle", cycle, "--cycle2", cycle])
+        assert rc == 1 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestWorkBoundedByInput:
@@ -660,6 +734,7 @@ FUZZ_CASES = [
       "cones": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}),
     (["cycle", "degree", "--matroid", "u34.json", "--cycle", None], CONIC),
     (["cycle", "degree", "--cycle", "conic.json", "--matroid", None], U34),
+    (["cycle", "degree", "--matroid", "u34.json", "--cycle", None], LINE4),
     (["intersect", "bezout", "--matroid", "u34.json", "--cycle", "conic.json",
       "--cycle2", None], CONIC),
     (["surface", "check", "--expr", None],

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from tropsurf import surface_calculus as sc
+from tropsurf._frozen import replace
 from tropsurf.errors import SurfaceError
 
 
@@ -167,6 +168,23 @@ class TestContract:
         assert x.triple == (1, 7, 5)
         x = sc.contract(sc.contract(x, "D1"), "D3")
         assert x.triple == (1, 9, 3)
+
+    def test_blowdown_recomputes_the_ledger(self):
+        # the curves that crossed D1 gain +1 and now cross each other
+        y = sc.contract(sc.toric_surface(sc.tp2_fan().star_subdivide(0)), "D1")
+        assert {i: e.self_intersection for i, e in y.ledger} == {"D0": 1, "D2": 1, "D3": 1}
+        with pytest.raises(SurfaceError, match="self-summed curves must be disjoint"):
+            sc.self_sum(y, "D0", "D2")
+
+    def test_blowdown_gives_the_tp2_ledger_up_to_renaming(self):
+        y = sc.contract(sc.toric_surface(sc.tp2_fan().star_subdivide(0)), "D1")
+        tp2 = sc.toric_surface(sc.tp2_fan())
+        rename = dict(zip((i for i, _ in y.ledger), (i for i, _ in tp2.ledger)))
+        renamed = tuple(
+            (rename[i], replace(e, crossings=frozenset(rename[c] for c in e.crossings)))
+            for i, e in y.ledger
+        )
+        assert (y.triple, renamed) == (tp2.triple, tp2.ledger)
 
     def test_rejects_wrong_curve(self):
         tp2 = sc.toric_surface(sc.tp2_fan())
