@@ -24,7 +24,7 @@ from itertools import combinations
 from . import matroid as mt
 from ._frozen import frozen
 from .errors import FanError, MatroidError
-from .intlinalg import solve
+from .intlinalg import solve, unimodular_inverse
 
 
 @frozen
@@ -47,13 +47,11 @@ class Basis:
         n = len(vecs)
         if n == 0 or any(len(v) != n for v in vecs):
             raise FanError("basis must be square")
-        # column j of the inverse solves A x = e_j; the inverse is integral
-        # exactly when |det A| = 1, since det A * det A^-1 = 1 in ZZ
-        cols = [[vecs[j][k] for j in range(n)] for k in range(n)]
-        inv_cols = [solve(cols, [int(i == j) for i in range(n)]) for j in range(n)]
-        if any(c is None or any(x.denominator != 1 for x in c) for c in inv_cols):
+        # A has the u_i as columns; its inverse is integral exactly when
+        # |det A| = 1, since det A * det A^-1 = 1 in ZZ
+        inverse = unimodular_inverse([[v[k] for v in vecs] for k in range(n)])
+        if inverse is None:
             raise FanError("basis must be unimodular")
-        inverse = tuple(tuple(int(c[i]) for c in inv_cols) for i in range(n))
         object.__setattr__(self, "_inverse", inverse)
         object.__setattr__(
             self, "u0", tuple(-sum(v[k] for v in vecs) for k in range(n))

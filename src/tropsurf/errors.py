@@ -60,6 +60,13 @@ def integer(v, where, error, low=None):
     return int(v)
 
 
+def boolean(v, where, error):
+    """v if it is a JSON boolean, or an ``error`` naming where."""
+    if not isinstance(v, bool):
+        raise error(f"{where} must be true or false, got {v!r}")
+    return v
+
+
 def items(v, where, what, error):
     """v if it is a list, or an ``error`` naming where."""
     if not isinstance(v, (list, tuple)):

@@ -4,9 +4,10 @@ Everything in this package works with tiny matrices (ambient dimensions
 are single digits, chain groups a few dozen).  Determinants stay in the
 integers by fraction-free (Bareiss) elimination and Smith reduction is
 textbook row/column reduction on Python ints, whose nonzero invariant
-factors also give the rank; `solve` and `symmetric_signature` use
-Fraction Gaussian elimination, since their answers or intermediate pivots
-are rational.  All arithmetic is exact.
+factors also give the rank, and a unimodular inverse is integer row
+reduction; `solve` and `symmetric_signature` use Fraction Gaussian
+elimination, since their answers or intermediate pivots are rational.
+All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -71,6 +72,39 @@ def solve(rows, rhs):
         if a[r][n] != 0:
             return None
     return [a[i][n] for i in range(n)]
+
+
+def unimodular_inverse(rows):
+    """Inverse of a square integer matrix of determinant +-1, or None when
+    the determinant is anything else.
+
+    Integer row reduction of [A | I]: Euclid's algorithm down column k
+    leaves the gcd of its remaining entries as pivot, and det A is +-1 times
+    the product of the pivots, so A is unimodular exactly when every pivot
+    is +-1.  Clearing each column with a pivot of 1 stays integral.
+    """
+    n = len(rows)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for k in range(n):
+        while True:
+            live = [i for i in range(k, n) if a[i][k]]
+            if not live:
+                return None
+            p = min(live, key=lambda i: abs(a[i][k]))
+            a[k], a[p] = a[p], a[k]
+            if len(live) == 1:
+                break
+            for i in range(k + 1, n):
+                q = a[i][k] // a[k][k]
+                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+        if a[k][k] not in (1, -1):
+            return None
+        a[k] = [a[k][k] * x for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                q = a[i][k]
+                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+    return tuple(tuple(row[n:]) for row in a)
 
 
 def primitive(vec):

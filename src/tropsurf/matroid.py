@@ -10,14 +10,21 @@ pair of elements closes up to a two-element flat automatically.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, starmap
+from operator import and_
 
 from ._frozen import frozen
 from .errors import MatroidError
 
 
+def _bits(n):
+    """Element i of range(n) -> 1 << i: sum(map(_bits(n), s)) is s as a bitmask."""
+    return {i: 1 << i for i in range(n)}.__getitem__
+
+
 def _canon(flats):
-    return tuple(sorted(flats, key=lambda f: (len(f), sorted(f))))
+    # by size, then by sorted elements: sort by elements, then stably by size
+    return tuple(sorted(sorted(flats, key=sorted), key=len))
 
 
 @frozen
@@ -51,59 +58,59 @@ class Matroid:
             yield from level
 
     def _validate(self):
-        ground = frozenset(range(self.n))
-        if self.n < 1:
+        n, levels = self.n, self.flats_by_rank
+        if n < 1:
             raise MatroidError("ground set must be nonempty")
-        if not self.flats_by_rank or self.flats_by_rank[0] != (frozenset(),):
+        if not levels or levels[0] != (frozenset(),):
             raise MatroidError("unique rank-0 flat must be the empty set (loopless)")
-        if self.flats_by_rank[-1] != (ground,):
+        ground = frozenset(range(n))
+        if levels[-1] != (ground,):
             raise MatroidError("unique top flat must be the whole ground set")
-        seen = set()
-        for r, level in enumerate(self.flats_by_rank):
+        bit, masks, seen = _bits(n), [], set()  # the axioms below run on bitmasks
+        for r, level in enumerate(levels):
             if not level:
                 raise MatroidError(f"no flats of rank {r}")
+            masks.append([])
             for f in level:
                 if not f <= ground:
                     raise MatroidError(f"flat {sorted(f)} outside ground set")
-                if f in seen:
+                m = sum(map(bit, f))
+                if m in seen:
                     raise MatroidError(f"flat {sorted(f)} listed twice")
-                seen.add(f)
-        flatset = seen
-        for f, g in combinations(flatset, 2):
-            if f & g not in flatset:
-                raise MatroidError(
-                    f"flats not closed under intersection: {sorted(f)}, {sorted(g)}"
-                )
-        # covering axiom: flats of rank r+1 over F partition E \ F
-        for r in range(self.rank):
-            for f in self.flats_by_rank[r]:
-                covers = [g for g in self.flats_by_rank[r + 1] if f < g]
-                rest = ground - f
-                covered = set()
+                seen.add(m)
+                masks[r].append(m)
+        # closure under intersection: the bottom and top flats meet any flat in a flat
+        pairs = combinations([m for row in masks[1:-1] for m in row], 2)
+        if not set(starmap(and_, pairs)) <= seen:
+            mid = [f for level in levels[1:-1] for f in level]
+            f, g = next(p for p in combinations(mid, 2) if sum(map(bit, p[0] & p[1])) not in seen)
+            raise MatroidError(f"flats not closed under intersection: {sorted(f)}, {sorted(g)}")
+        # covering axiom: flats of rank r+1 over F partition E \ F.  The top flat alone
+        # covers, and contains, each flat of the rank below, so both loops stop short of it
+        full, above = (1 << n) - 1, set()
+        for r in range(self.rank - 1):
+            for f, fm in zip(levels[r], masks[r]):
+                # F < G exactly when F | G == G, as no flat is listed twice
+                covers = [g for g in masks[r + 1] if fm | g == g]
+                covered = fm
                 for g in covers:
-                    extra = g - f
-                    if covered & extra:
-                        raise MatroidError(
-                            f"covers of {sorted(f)} overlap outside the flat"
-                        )
-                    covered |= extra
-                if covered != rest:
+                    if covered & g != fm:
+                        raise MatroidError(f"covers of {sorted(f)} overlap outside the flat")
+                    covered |= g
+                if covered != full:
                     raise MatroidError(f"covers of {sorted(f)} do not partition the rest")
+                above.update(covers)
         # ranks must be strict: each rank-(r+1) flat properly contains a rank-r flat
-        for r in range(1, self.rank + 1):
-            for g in self.flats_by_rank[r]:
-                if not any(f < g for f in self.flats_by_rank[r - 1]):
+        for r in range(1, self.rank):
+            for g, gm in zip(levels[r], masks[r]):
+                if gm not in above:
                     raise MatroidError(f"flat {sorted(g)} has no subflat of rank {r-1}")
 
     # -- queries -----------------------------------------------------------
 
     def closure(self, subset):
         s = frozenset(subset)
-        best = None
-        for f in self.all_flats():
-            if s <= f and (best is None or f < best):
-                best = f
-        return best
+        return min((f for f in self.all_flats() if s <= f), key=len, default=None)
 
     def rank_of(self, subset):
         s = frozenset(subset)
@@ -155,32 +162,29 @@ def from_lines(n, lines):
         if f == ground:
             raise MatroidError("a line equal to the ground set drops the rank")
         big.append(f)
-    for a, b in combinations(big, 2):
-        if len(a & b) > 1:
+    bit = _bits(n)
+    masks = [sum(map(bit, f)) for f in big]
+    for (a, am), (b, bm) in combinations(zip(big, masks), 2):
+        if (am & bm).bit_count() > 1:
             raise MatroidError(f"lines {sorted(a)} and {sorted(b)} share two elements")
-    covered = {pair for f in big for pair in combinations(sorted(f), 2)}
-    rank2 = list(big)
-    for pair in combinations(range(n), 2):
-        if pair not in covered:
-            rank2.append(frozenset(pair))
-    return Matroid(
-        n,
-        (
-            (frozenset(),),
-            tuple(frozenset([i]) for i in range(n)),
-            tuple(rank2),
-            (ground,),
-        ),
-    )
+    return _rank3(n, big, masks, frozenset)
+
+
+def _rank3(n, lines, masks, flat):
+    """``from_lines`` on checked lines and their bitmasks; ``flat`` makes the
+    frozenset of a tuple of elements."""
+    near = [0] * n  # near[i]: the elements on a common line with i
+    for f, m in zip(lines, masks):
+        for i in f:
+            near[i] |= m
+    pairs = [flat(p) for p in combinations(range(n), 2) if not near[p[0]] >> p[1] & 1]
+    points = tuple(flat((i,)) for i in range(n))
+    return Matroid(n, ((frozenset(),), points, tuple(lines + pairs), (flat(tuple(range(n))),)))
 
 
 def direct_sum(m1, m2):
     """Direct sum; elements of m2 are shifted up by m1.n."""
     shift = m1.n
-
-    def sh(f):
-        return frozenset(x + shift for x in f)
-
     r1, r2 = m1.rank, m2.rank
     levels = []
     for r in range(r1 + r2 + 1):
@@ -188,7 +192,7 @@ def direct_sum(m1, m2):
         for a in range(max(0, r - r2), min(r, r1) + 1):
             for f in m1.flats(a):
                 for g in m2.flats(r - a):
-                    level.add(f | sh(g))
+                    level.add(f | {x + shift for x in g})
         levels.append(tuple(level))
     return Matroid(m1.n + m2.n, tuple(levels))
 
@@ -375,26 +379,21 @@ def enumerate_simple_rank3(n):
     """
     if n < 3:
         raise MatroidError("rank 3 needs at least 3 elements")
-    cands = []
-    for k in range(3, n):
-        cands += [frozenset(c) for c in combinations(range(n), k)]
+    cands = [frozenset(c) for k in range(3, n) for c in combinations(range(n), k)]
     cands.sort(key=sorted)
-    compat = [
-        [len(a & b) <= 1 for b in cands]
-        for a in cands
-    ]
+    bit = _bits(n)
+    masks = [sum(map(bit, f)) for f in cands]
+    # bit j of clash[i]: candidates i and j share two elements
+    clash = [sum(1 << j for j, b in enumerate(masks) if (a & b).bit_count() > 1) for a in masks]
+    # one frozenset per point, pair and the ground set, shared by all matroids
+    small = {c: frozenset(c) for k in (1, 2, n) for c in combinations(range(n), k)}
     out = []
 
-    def bt(start, fam):
-        out.append(from_lines(n, fam))
+    def bt(start, fam, fam_masks, banned):
+        out.append(_rank3(n, fam, fam_masks, small.__getitem__))
         for i in range(start, len(cands)):
-            if all(compat[i][j] for j in fam_idx):
-                fam.append(cands[i])
-                fam_idx.append(i)
-                bt(i + 1, fam)
-                fam.pop()
-                fam_idx.pop()
+            if not banned >> i & 1:
+                bt(i + 1, fam + [cands[i]], fam_masks + [masks[i]], banned | clash[i])
 
-    fam_idx = []
-    bt(0, [])
+    bt(0, [], [], 0)
     return out

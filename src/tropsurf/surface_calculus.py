@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 from ._frozen import frozen, replace
-from .errors import SurfaceError, field, integer, integers
+from .errors import SurfaceError, boolean, field, integer, integers
 
 
 # -- curves ------------------------------------------------------------------
@@ -427,7 +427,8 @@ def parse_surface(obj, where="", path=""):
             integer(field(body, "self_intersection", node, SurfaceError),
                     f"{node}.self_intersection", SurfaceError),
             name("id"),
-            bool(body.get("locally_degree_1", True)),
+            boolean(body.get("locally_degree_1", True), f"{node}.locally_degree_1",
+                    SurfaceError),
         )
     return contract(sub[0], name("curve"))
 

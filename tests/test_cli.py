@@ -431,6 +431,16 @@ class TestErrors:
              {"modify": {"base": {"toric": {"rays": [[1, 0], [0, 1], [-1, -1]]}},
                          "curve": {"b1": False}, "self_intersection": 0, "id": "E"}},
              "modify.curve.b1 must be an integer, got False"),
+            (["surface", "check", "--expr"],
+             {"modify": {"base": {"toric": {"rays": [[1, 0], [0, 1], [-1, -1]]}},
+                         "curve": {"b1": 0, "valencies": [1, 1]}, "self_intersection": -1,
+                         "id": "E", "locally_degree_1": "false"}},
+             "modify.locally_degree_1 must be true or false, got 'false'"),
+            (["surface", "check", "--expr"],
+             {"modify": {"base": {"toric": {"rays": [[1, 0], [0, 1], [-1, -1]]}},
+                         "curve": {"b1": 0, "valencies": [1, 1]}, "self_intersection": -1,
+                         "id": "E", "locally_degree_1": False}},
+             "only locally degree-1 modifications are supported"),
         ],
         ids=[
             "no-rays",
@@ -467,6 +477,8 @@ class TestErrors:
             "bool-cycle-dim",
             "bool-complex-sign",
             "bool-surface-b1",
+            "string-locally-degree-1",
+            "false-locally-degree-1",
         ],
     )
     def test_malformed_input_names_the_item(self, capsys, files, argv, obj, message):

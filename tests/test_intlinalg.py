@@ -1,4 +1,4 @@
-"""The integer determinant against sympy."""
+"""The integer determinant and the unimodular inverse against sympy."""
 
 import sympy
 from hypothesis import given, settings
@@ -51,3 +51,44 @@ class TestDet:
         rows = [[0, 2], [3, 1]]
         assert il.det(rows) == -6
         assert rows == [[0, 2], [3, 1]]
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """A random product of elementary integer matrices (det +-1), n <= 6."""
+    n = draw(st.integers(1, 6))
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 12)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-3, 3))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    if draw(st.booleans()):
+        a[0] = [-x for x in a[0]]
+    return a
+
+
+class TestUnimodularInverse:
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    def test_inverse_exists_exactly_for_det_one(self, case):
+        _, rows = case
+        ours = il.unimodular_inverse(rows)
+        m = sympy.Matrix(rows)
+        if m.det() in (1, -1):
+            assert ours == tuple(tuple(int(x) for x in row) for row in m.inv().tolist())
+        else:
+            assert ours is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(unimodular_matrices())
+    def test_inverts_unimodular_matrices(self, rows):
+        inv = il.unimodular_inverse(rows)
+        identity = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+        assert all(type(x) is int for row in inv for x in row)
+        assert il.matmul(rows, inv) == identity == il.matmul(inv, rows)
+
+    def test_rejects_det_two_and_singular(self):
+        assert il.unimodular_inverse([[2, 0], [0, 1]]) is None
+        assert il.unimodular_inverse([[1, 2], [2, 4]]) is None
+        assert il.unimodular_inverse([[0]]) is None
+        assert il.unimodular_inverse([[0, 1], [1, 0]]) == ((0, 1), (1, 0))

@@ -5,6 +5,9 @@ rank expansion chi(t) = sum over subsets S of (-1)^|S| t^(r - r(S)),
 which only uses rank_of and never touches the Moebius recursion.
 """
 
+import hashlib
+import json
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -61,7 +64,7 @@ class TestConstruction:
             mt.from_lines(3, [[0, 1, 2]])
 
     def test_validation_rejects_broken_cover(self):
-        with pytest.raises(MatroidError):
+        with pytest.raises(MatroidError, match=r"^covers of \[0\] do not partition the rest$"):
             mt.Matroid(
                 3,
                 (
@@ -71,6 +74,32 @@ class TestConstruction:
                     (frozenset([0, 1, 2]),),
                 ),
             )
+
+    @pytest.mark.parametrize(
+        "n, levels, message",
+        [
+            (0, [[[]]], "ground set must be nonempty"),
+            (1, [[[0]]], "unique rank-0 flat must be the empty set (loopless)"),
+            (2, [[[]], [[0]]], "unique top flat must be the whole ground set"),
+            (2, [[[]], [], [[0, 1]]], "no flats of rank 1"),
+            (2, [[[]], [[0], [5]], [[0, 1]]], "flat [5] outside ground set"),
+            (2, [[[]], [[0], [0], [1]], [[0, 1]]], "flat [0] listed twice"),
+            # {0,1,2} and {1,2,3} meet in {1,2}; every other pair meets in a flat
+            (4, [[[]], [[0], [1], [2], [3]], [[0, 1, 2], [1, 2, 3]], [[0, 1, 2, 3]]],
+             "flats not closed under intersection: [0, 1, 2], [1, 2, 3]"),
+            (3, [[[]], [[0], [0, 1]], [[0, 1, 2]]], "covers of [] overlap outside the flat"),
+            (2, [[[]], [[0]], [[0, 1]]], "covers of [] do not partition the rest"),
+            # covers partition at every level, but {0} sits above no rank-1 flat
+            (4, [[[]], [[0, 1], [2], [3]], [[0], [0, 1, 2], [0, 1, 3], [2, 3]], [[0, 1, 2, 3]]],
+             "flat [0] has no subflat of rank 1"),
+        ],
+        ids=["empty-ground", "loop", "top", "empty-level", "outside", "twice",
+             "intersection", "overlap", "partition", "subflat"],
+    )
+    def test_validation_names_each_violation(self, n, levels, message):
+        with pytest.raises(MatroidError) as exc:
+            mt.Matroid(n, tuple(tuple(frozenset(f) for f in level) for level in levels))
+        assert str(exc.value) == message
 
     def test_closure_and_rank(self, braid):
         assert braid.closure([0, 1]) == frozenset([0, 1, 3])
@@ -180,6 +209,25 @@ class TestEnumeration:
         assert len(mt.enumerate_simple_rank3(3)) == 1
         assert len(mt.enumerate_simple_rank3(4)) == 5
         assert len(mt.enumerate_simple_rank3(5)) == 31
+
+    def test_counts_up_to_seven(self, all_small_matroids):
+        counts = Counter(m.n for m in all_small_matroids)
+        assert counts == {3: 1, 4: 5, 5: 31, 6: 352, 7: 8389}
+
+    def test_flats_keep_their_canonical_order(self, all_small_matroids):
+        # CLI JSON and golden outputs list flats in this order: rank by rank,
+        # each level by size and then by its sorted elements
+        levels = [
+            [[sorted(f) for f in level] for level in m.flats_by_rank]
+            for m in all_small_matroids if m.n <= 6
+        ]
+        assert len(levels) == 389
+        assert hashlib.sha256(json.dumps(levels).encode()).hexdigest() == (
+            "f1fd3fcf14837f0f4e9d5b43c8f77ecea15c90cb10a8c7bd0771eb7021eb3cb2"
+        )
+        for m in all_small_matroids:
+            assert set(vars(m)) == {"n", "flats_by_rank"}
+            assert all(type(f) is frozenset for f in m.all_flats())
 
     def test_all_simple_rank3(self):
         for m in mt.enumerate_simple_rank3(5):
