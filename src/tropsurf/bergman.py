@@ -349,17 +349,20 @@ def reconstruct_matroid(rays, cones, dim, basis=None):
 
 def has_saturated_triangle(m):
     """Three lines i, j, k and three points I, J, K with k in I&J,
-    j in I&K, i in J&K and I | J | K the whole ground set."""
+    j in I&K, i in J&K and I | J | K the whole ground set.
+
+    The points are forced, I = cl{j, k}, J = cl{i, k} and K = cl{i, j}, and
+    they are distinct exactly when i, j, k are not collinear; so one pass
+    over the element triples, with each point as a bitmask, decides it."""
     if m.rank != 3 or not m.is_simple():
         raise FanError("saturated triangles live in simple rank-3 matroids")
-    ground = frozenset(range(m.n))
-    pts = list(m.flats(2))
-    for fi, fj, fk in combinations(pts, 3):
-        if fi | fj | fk != ground:
-            continue
-        ab, ac, bc = fi & fj, fi & fk, fj & fk
-        if len(ab) == 1 and len(ac) == 1 and len(bc) == 1:
-            trio = ab | ac | bc
-            if len(trio) == 3:
-                return True
+    cl = {}
+    for f in m.flats(2):
+        mask = sum(1 << e for e in f)
+        cl.update(dict.fromkeys(combinations(sorted(f), 2), mask))
+    ground = (1 << m.n) - 1
+    for i, j, k in combinations(range(m.n), 3):
+        pk = cl[i, j]
+        if not pk >> k & 1 and pk | cl[i, k] | cl[j, k] == ground:
+            return True
     return False

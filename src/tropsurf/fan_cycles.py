@@ -26,13 +26,15 @@ class FanCycle:
     def __post_init__(self):
         merged = {}
         for direction, weight in self.rays:
-            direction = tuple(int(x) for x in direction)
-            if len(direction) != self.dim:
+            d, w = tuple(map(int, direction)), int(weight)
+            if d != tuple(direction) or w != weight:
+                raise CycleError(f"ray {direction!r} of weight {weight!r} is not integral")
+            if len(d) != self.dim:
                 raise CycleError("ray dimension mismatch")
-            if all(x == 0 for x in direction):
+            if not any(d):
                 raise CycleError("zero direction in a cycle")
-            prim, mult = primitive(direction)
-            merged[prim] = merged.get(prim, 0) + int(weight) * mult
+            prim, mult = primitive(d)
+            merged[prim] = merged.get(prim, 0) + w * mult
         rays = tuple(
             (d, w) for d, w in sorted(merged.items()) if w != 0
         )

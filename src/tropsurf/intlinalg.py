@@ -108,10 +108,10 @@ def unimodular_inverse(rows):
 
 
 def primitive(vec):
-    """(primitive direction, positive multiplier) for a nonzero int vector."""
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
+    """(primitive tuple, positive multiplier) of a nonzero int vector."""
+    g = gcd(*vec)
+    if g == 1:
+        return tuple(vec), 1
     if g == 0:
         raise ValueError("zero vector has no primitive direction")
     return tuple(x // g for x in vec), g

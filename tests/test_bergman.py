@@ -219,3 +219,17 @@ class TestSaturatedTriangle:
     def test_uniform_has_none(self, u34):
         assert not bg.has_saturated_triangle(u34)
         assert not bg.has_saturated_triangle(mt.uniform(3, 5))
+
+    def test_agrees_with_search_over_flat_triples(self, all_small_matroids):
+        def by_flats(m):
+            ground = frozenset(range(m.n))
+            for fi, fj, fk in combinations(m.flats(2), 3):
+                if fi | fj | fk != ground:
+                    continue
+                ab, ac, bc = fi & fj, fi & fk, fj & fk
+                if len(ab) == len(ac) == len(bc) == 1 and len(ab | ac | bc) == 3:
+                    return True
+            return False
+
+        for m in all_small_matroids:
+            assert bg.has_saturated_triangle(m) == by_flats(m), m

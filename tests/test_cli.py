@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,15 @@ class TestMatroidInfo:
         assert payload["char_poly"] == [1, -4, 6, -3]
         assert payload["chi_bar_at_1"] == 1
         assert payload["missing_ray_class"] == "none"
+
+    def test_forty_points_in_general_position(self, capsys, files):
+        # the saturated-triangle search is cubic in n, not sextic
+        path = files("u3_40.json", {"n": 40, "lines": []})
+        start = time.monotonic()
+        rc, out, _ = run(capsys, ["matroid", "info", "--matroid", path])
+        assert time.monotonic() - start < 5.0
+        assert rc == 0
+        assert "saturated triangle: no\n" in out
 
 
 class TestFanBuild:

@@ -1,6 +1,8 @@
 """Balancing, positive decompositions, degrees, and boundary points of
 fan 1-cycles."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,3 +119,68 @@ class TestNormalization:
     def test_zero_direction_rejected(self):
         with pytest.raises(CycleError):
             fc.FanCycle(2, (((0, 0), 1),))
+
+    @pytest.mark.parametrize(
+        "ray, named",
+        [
+            (((1.5, 0), 1), "1.5"),
+            (((Fraction(3, 2), 0), 1), "Fraction(3, 2)"),
+            (((1, 0), 1.7), "1.7"),
+            (((1, 0), Fraction(1, 2)), "Fraction(1, 2)"),
+        ],
+    )
+    def test_non_integral_ray_rejected(self, ray, named):
+        with pytest.raises(CycleError, match="not integral") as err:
+            fc.FanCycle(2, (ray, ((-1, 0), 1)))
+        assert named in str(err.value)
+
+    def test_integral_fractions_and_floats_accepted(self):
+        c = fc.FanCycle(2, (((Fraction(4), 0.0), 1.0), ((-1, 0), Fraction(2))))
+        assert c.rays == (((-1, 0), 2), ((1, 0), 4))
+        assert all(type(x) is int for d, w in c.rays for x in d + (w,))
+
+
+def naive_rays(rays):
+    """Divide each direction by the largest k dividing every entry, add up
+    the weights of equal directions and drop those that cancel."""
+    total = {}
+    for d, w in rays:
+        d = [int(x) for x in d]
+        k = next(j for j in range(max(map(abs, d)), 0, -1) if all(x % j == 0 for x in d))
+        prim = tuple(x // k for x in d)
+        total[prim] = total.get(prim, 0) + k * int(w)
+    return tuple(sorted((d, w) for d, w in total.items() if w != 0))
+
+
+@st.composite
+def raw_rays(draw, dim):
+    """Rays with small primitive parts, so that directions repeat, scaled
+    by 1..3, signed, and with some entries and weights as Fractions."""
+    entry = st.integers(-2, 2)
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        base = draw(st.lists(entry, min_size=dim, max_size=dim).filter(any))
+        k = draw(st.integers(1, 3))
+        d = [draw(st.sampled_from([int, Fraction]))(k * x) for x in base]
+        w = draw(st.sampled_from([int, Fraction]))(draw(st.integers(-2, 2)))
+        out.append((tuple(d), w))
+    return tuple(out)
+
+
+@st.composite
+def ray_pairs(draw):
+    dim = draw(st.integers(1, 3))
+    return dim, draw(raw_rays(dim)), draw(raw_rays(dim))
+
+
+class TestNormalizationContract:
+    @settings(max_examples=100, deadline=None)
+    @given(ray_pairs())
+    def test_matches_naive_normalizer(self, case):
+        dim, rays1, rays2 = case
+        c1, c2 = fc.FanCycle(dim, rays1), fc.FanCycle(dim, rays2)
+        assert c1.rays == naive_rays(rays1)
+        assert (c1 + c2).rays == naive_rays(rays1 + rays2)
+        assert c1 + c2 == c2 + c1
+        assert c1.scale(0).rays == ()
+        assert c1.scale(-2).rays == naive_rays([(d, -2 * w) for d, w in rays1])

@@ -1,6 +1,8 @@
 """Corner and vertex intersection multiplicities, canonical
 self-intersection, and c2 point multiplicities."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +96,31 @@ class TestCanonicalSquare:
     @given(matroids)
     def test_local_formula_random(self, m):
         assert fi.k_squared(m) == fi.k_squared_local(m)
+
+    @staticmethod
+    def vertex_of_canonical_square(m):
+        plane = bg.build_fan(m)
+        if plane.degenerate_plane:
+            return None
+        kp = fc.canonical_cycle(plane)
+        return fi.bezout(plane, kp, kp)["vertex"]
+
+    def test_vertex_of_canonical_square_small(self, all_small_matroids):
+        # deg K_P = n - 3, so this pins the corners of K_P . K_P to
+        # sum over rank-2 flats of (|I| - 2)^2: not true by construction
+        small = [m for m in all_small_matroids if m.n <= 5]
+        vertices = [self.vertex_of_canonical_square(m) for m in small]
+        checked = [(v, m) for v, m in zip(vertices, small) if v is not None]
+        assert len(checked) == 36
+        for v, m in checked:
+            assert v == fi.k_squared(m), m
+
+    def test_vertex_of_canonical_square_sampled(self, all_small_matroids):
+        rng = random.Random(2015)
+        for n in (6, 7):
+            pool = [m for m in all_small_matroids if m.n == n]
+            for m in rng.sample(pool, 20):
+                assert self.vertex_of_canonical_square(m) == fi.k_squared(m), m
 
 
 class TestChernVertex:

@@ -1,5 +1,7 @@
-"""The integer determinant and the unimodular inverse against sympy."""
+"""The integer determinant and the unimodular inverse against sympy, and
+primitive directions."""
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,3 +94,19 @@ class TestUnimodularInverse:
         assert il.unimodular_inverse([[1, 2], [2, 4]]) is None
         assert il.unimodular_inverse([[0]]) is None
         assert il.unimodular_inverse([[0, 1], [1, 0]]) == ((0, 1), (1, 0))
+
+
+class TestPrimitive:
+    def test_list_input_gives_a_tuple(self):
+        assert il.primitive([2, -4, 6]) == ((1, -2, 3), 2)
+        prim, mult = il.primitive([3, 5])
+        assert type(prim) is tuple and prim == (3, 5) and mult == 1
+
+    def test_negative_entries(self):
+        assert il.primitive((-4, -6)) == ((-2, -3), 2)
+        assert il.primitive((0, -7, 0)) == ((0, -1, 0), 7)
+        assert il.primitive((-1, 0)) == ((-1, 0), 1)
+
+    def test_zero_vector_raises(self):
+        with pytest.raises(ValueError):
+            il.primitive((0, 0, 0))
