@@ -133,14 +133,16 @@ def cmd_matroid_info(args):
     from . import matroid as mt
 
     m = load_matroid(args.matroid)
+    chi = mt.characteristic_polynomial(m)
+    reduced = mt.divide_by_t_minus_one(chi)
     payload = {
         "n": m.n,
         "rank": m.rank,
         "simple": m.is_simple(),
         "flats": [[sorted(f) for f in level] for level in m.flats_by_rank],
-        "char_poly": list(mt.characteristic_polynomial(m)),
-        "reduced_char_poly": list(mt.reduced_characteristic_polynomial(m)),
-        "chi_bar_at_1": mt.chi_bar_at_one(m),
+        "char_poly": list(chi),
+        "reduced_char_poly": list(reduced),
+        "chi_bar_at_1": mt.poly_eval(reduced, 1),
     }
     lines = [
         f"matroid on {m.n} elements, rank {m.rank}",

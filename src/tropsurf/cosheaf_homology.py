@@ -47,32 +47,40 @@ class Attachment:
 
 @frozen
 class CellComplex:
+    """Errors name a cell or an attachment by its place in the file that
+    ``parse_complex`` reads, as ``cells[k]`` or ``incidences[k]``."""
+
     cells: tuple
     attachments: tuple
     f1_rank: tuple  # tuple of (cell id, rank)
 
     def __post_init__(self):
-        ids = [c.id for c in self.cells]
-        if len(set(ids)) != len(ids):
-            raise ComplexError("duplicate cell ids")
-        dims = {c.id: c.dim for c in self.cells}
+        dims = {}
+        for k, c in enumerate(self.cells):
+            if c.id in dims:
+                raise ComplexError(f"cells[{k}].id must be unique, got {c.id!r}")
+            dims[c.id] = c.dim
         ranks = dict(self.f1_rank)
-        if set(ranks) != set(ids):
-            raise ComplexError("f1_rank must cover exactly the cells")
-        for a in self.attachments:
-            if a.big not in dims or a.small not in dims:
-                raise ComplexError(f"attachment references unknown cell")
+        for cell_id in dims:
+            if cell_id not in ranks:
+                raise ComplexError(f"f1_rank: missing key {cell_id!r}")
+        for cell_id in ranks:
+            if cell_id not in dims:
+                raise ComplexError(f"f1_rank.{cell_id} must name a cell, got {cell_id!r}")
+        for k, a in enumerate(self.attachments):
+            at = f"incidences[{k}]"
+            for key, cell_id in (("big", a.big), ("small", a.small)):
+                if cell_id not in dims:
+                    raise ComplexError(f"{at}.{key} must name a cell, got {cell_id!r}")
             if dims[a.big] != dims[a.small] + 1:
+                raise ComplexError(f"{at}: {a.big} -> {a.small} must drop dimension by one")
+            if not integral(a.sign) or a.sign not in (1, -1):
+                raise ComplexError(f"{at}.sign must be 1 or -1, got {a.sign!r}")
+            rows, cols = ranks[a.small], ranks[a.big]
+            if len(a.iota1) != rows or any(len(row) != cols for row in a.iota1):
                 raise ComplexError(
-                    f"attachment {a.big} -> {a.small} must drop dimension by one"
-                )
-            if a.sign not in (1, -1):
-                raise ComplexError("attachment signs are +1 or -1")
-            if len(a.iota1) != ranks[a.small] or any(
-                len(row) != ranks[a.big] for row in a.iota1
-            ):
-                raise ComplexError(
-                    f"iota1 for {a.big} -> {a.small} has the wrong shape"
+                    f"{at}.iota1 must have {rows} rows of {cols} entries for "
+                    f"{a.big} -> {a.small}, got {[list(row) for row in a.iota1]!r}"
                 )
         object.__setattr__(self, "_dims", dims)
         object.__setattr__(self, "_ranks", ranks)
@@ -200,15 +208,17 @@ def parse_complex(obj, where=""):
         big, small, sign, iota1 = (
             field(a, key, at, ComplexError) for key in ("big", "small", "sign", "iota1")
         )
-        if not integral(sign) or sign not in (1, -1):
-            raise ComplexError(f"{at}.sign must be 1 or -1, got {sign!r}")
         if not isinstance(iota1, (list, tuple)) or not all(
             isinstance(row, (list, tuple)) and all(map(integral, row)) for row in iota1
         ):
             raise ComplexError(f"{at}.iota1 must be a list of integer rows, got {iota1!r}")
         iota1 = tuple(tuple(int(v) for v in row) for row in iota1)
-        atts.append(Attachment(str(big), str(small), int(sign), iota1))
-    return CellComplex(tuple(cells), tuple(atts), f1)
+        sign = int(sign) if integral(sign) else sign  # CellComplex checks it
+        atts.append(Attachment(str(big), str(small), sign, iota1))
+    try:
+        return CellComplex(tuple(cells), tuple(atts), f1)
+    except ComplexError as exc:
+        raise ComplexError(f"{pre}{exc}") from None
 
 
 # -- (1,1)-cycles and the intersection pairing -------------------------------

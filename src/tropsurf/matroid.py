@@ -23,8 +23,22 @@ def _bits(n):
 
 
 def _canon(flats):
-    # by size, then by sorted elements: sort by elements, then stably by size
-    return tuple(sorted(sorted(flats, key=sorted), key=len))
+    # by size, then by sorted elements: sort by elements, then stably by size.
+    # A tuple already in this order is kept, so a level that many matroids
+    # share is stored once
+    canon = tuple(sorted(sorted(flats, key=sorted), key=len))
+    return flats if canon == flats else canon
+
+
+def _meet_in_at_most_one(n, flats, masks):
+    """True when no two of the flats on range(n) share two elements."""
+    near = dict.fromkeys(range(n), 0)  # near[i]: the union of the flats so far through i
+    for f, m in zip(flats, masks):
+        for i in f:
+            if (near[i] & m).bit_count() > 1:
+                return False
+            near[i] |= m
+    return True
 
 
 @frozen
@@ -79,12 +93,20 @@ class Matroid:
                     raise MatroidError(f"flat {sorted(f)} listed twice")
                 seen.add(m)
                 masks[r].append(m)
-        # closure under intersection: the bottom and top flats meet any flat in a flat
-        pairs = combinations([m for row in masks[1:-1] for m in row], 2)
-        if not set(starmap(and_, pairs)) <= seen:
-            mid = [f for level in levels[1:-1] for f in level]
-            f, g = next(p for p in combinations(mid, 2) if sum(map(bit, p[0] & p[1])) not in seen)
-            raise MatroidError(f"flats not closed under intersection: {sorted(f)}, {sorted(g)}")
+        # closure under intersection: the bottom and top flats meet any flat in a flat.
+        # When every element is a rank-1 flat of a rank-3 lattice, two flats below the
+        # top meet in a flat if no two rank-2 flats share two elements; else test pairs
+        simple3 = len(levels) == 4 and masks[1] == [1 << i for i in range(n)]
+        if not (simple3 and _meet_in_at_most_one(n, levels[2], masks[2])):
+            pairs = combinations([m for row in masks[1:-1] for m in row], 2)
+            if not set(starmap(and_, pairs)) <= seen:
+                mid = [f for level in levels[1:-1] for f in level]
+                f, g = next(
+                    p for p in combinations(mid, 2) if sum(map(bit, p[0] & p[1])) not in seen
+                )
+                raise MatroidError(
+                    f"flats not closed under intersection: {sorted(f)}, {sorted(g)}"
+                )
         # covering axiom: flats of rank r+1 over F partition E \ F.  The top flat alone
         # covers, and contains, each flat of the rank below, so both loops stop short of it
         full, above = (1 << n) - 1, set()
@@ -167,19 +189,24 @@ def from_lines(n, lines):
     for (a, am), (b, bm) in combinations(zip(big, masks), 2):
         if (am & bm).bit_count() > 1:
             raise MatroidError(f"lines {sorted(a)} and {sorted(b)} share two elements")
-    return _rank3(n, big, masks, frozenset)
+    return _rank3(n, big, masks, frozenset, _fixed_levels(n, frozenset))
 
 
-def _rank3(n, lines, masks, flat):
+def _rank3(n, lines, masks, flat, fixed):
     """``from_lines`` on checked lines and their bitmasks; ``flat`` makes the
-    frozenset of a tuple of elements."""
+    frozenset of a tuple of elements, and ``fixed`` is ``_fixed_levels(n, flat)``."""
     near = [0] * n  # near[i]: the elements on a common line with i
     for f, m in zip(lines, masks):
         for i in f:
             near[i] |= m
     pairs = [flat(p) for p in combinations(range(n), 2) if not near[p[0]] >> p[1] & 1]
-    points = tuple(flat((i,)) for i in range(n))
-    return Matroid(n, ((frozenset(),), points, tuple(lines + pairs), (flat(tuple(range(n))),)))
+    bottom, points, top = fixed
+    return Matroid(n, (bottom, points, tuple(lines + pairs), top))
+
+
+def _fixed_levels(n, flat):
+    """The rank-0, rank-1 and top levels of every simple rank-3 matroid on range(n)."""
+    return (frozenset(),), tuple(flat((i,)) for i in range(n)), (flat(tuple(range(n))),)
 
 
 def direct_sum(m1, m2):
@@ -281,8 +308,12 @@ def characteristic_polynomial(m):
 
 def reduced_characteristic_polynomial(m):
     """chi_M(t) / (t - 1), highest degree first.  Exact division."""
-    coeffs = characteristic_polynomial(m)
-    # synthetic division by (t - 1)
+    return divide_by_t_minus_one(characteristic_polynomial(m))
+
+
+def divide_by_t_minus_one(coeffs):
+    """chi(t) / (t - 1) from the coefficients of chi(t), highest degree
+    first, by synthetic division.  Exact division."""
     out = []
     carry = 0
     for c in coeffs[:-1]:
@@ -375,7 +406,8 @@ def enumerate_simple_rank3(n):
 
     Generates every set of subsets of size >= 3 (never the full ground set)
     that pairwise meet in at most one element, i.e. every labeled rank-3
-    simple matroid, including U_{3,n} for the empty family.
+    simple matroid, including U_{3,n} for the empty family.  The matroids
+    share their immutable rank-0, rank-1 and top levels.
     """
     if n < 3:
         raise MatroidError("rank 3 needs at least 3 elements")
@@ -385,12 +417,14 @@ def enumerate_simple_rank3(n):
     masks = [sum(map(bit, f)) for f in cands]
     # bit j of clash[i]: candidates i and j share two elements
     clash = [sum(1 << j for j, b in enumerate(masks) if (a & b).bit_count() > 1) for a in masks]
-    # one frozenset per point, pair and the ground set, shared by all matroids
-    small = {c: frozenset(c) for k in (1, 2, n) for c in combinations(range(n), k)}
+    # one frozenset per point, pair and the ground set, and one tuple per fixed
+    # level, shared by all matroids
+    flat = {c: frozenset(c) for k in (1, 2, n) for c in combinations(range(n), k)}.__getitem__
+    fixed = _fixed_levels(n, flat)
     out = []
 
     def bt(start, fam, fam_masks, banned):
-        out.append(_rank3(n, fam, fam_masks, small.__getitem__))
+        out.append(_rank3(n, fam, fam_masks, flat, fixed))
         for i in range(start, len(cands)):
             if not banned >> i & 1:
                 bt(i + 1, fam + [cands[i]], fam_masks + [masks[i]], banned | clash[i])

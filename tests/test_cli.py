@@ -95,6 +95,21 @@ class TestMatroidInfo:
         assert payload["chi_bar_at_1"] == 1
         assert payload["missing_ray_class"] == "none"
 
+    def test_characteristic_polynomial_is_computed_once(self, capsys, monkeypatch, braid_file):
+        from tropsurf import matroid as mt
+
+        calls, real = [], mt.characteristic_polynomial
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(mt, "characteristic_polynomial", counting)
+        rc, out, _ = run(capsys, ["matroid", "info", "--matroid", braid_file])
+        assert rc == 0
+        assert "reduced: [1, -5, 6]\nchi-bar(1): 2\n" in out
+        assert len(calls) == 1
+
     def test_forty_points_in_general_position(self, capsys, files):
         # the saturated-triangle search is cubic in n, not sextic
         path = files("u3_40.json", {"n": 40, "lines": []})
@@ -276,6 +291,28 @@ def _torus_cycles(edit):
     return obj
 
 
+def _torus(edit):
+    """The bundled torus complex with ``edit`` applied."""
+    obj = load_data("torus.json")
+    edit(obj)
+    return obj
+
+
+# each check of CellComplex, failed by an edited torus complex file
+TORUS_COMPLEX_ERRORS = [
+    (_torus(lambda x: x["incidences"][2].update(small="nope")),
+     "incidences[2].small must name a cell, got 'nope'"),
+    (_torus(lambda x: x["cells"].append({"id": "E2", "dim": 1})),
+     "cells[6].id must be unique, got 'E2'"),
+    (_torus(lambda x: x.update(f1_rank={c["id"]: 2 for c in x["cells"] if c["id"] != "F1"})),
+     "f1_rank: missing key 'F1'"),
+    (_torus(lambda x: x["incidences"][3].update(iota1=[[1, 0]])),
+     "incidences[3].iota1 must have 2 rows of 2 entries for E2 -> x, got [[1, 0]]"),
+]
+TORUS_COMPLEX_IDS = ["complex-unknown-cell", "complex-repeated-cell", "complex-f1-rank-missing",
+                     "complex-iota1-shape"]
+
+
 class TestErrors:
     def test_domain_error_exits_1(self, capsys, files):
         bad = files("bad.json", {"n": 3, "lines": [[0, 1, 2]]})  # full set
@@ -451,6 +488,7 @@ class TestErrors:
                          "curve": {"b1": 0, "valencies": [1, 1]}, "self_intersection": -1,
                          "id": "E", "locally_degree_1": False}},
              "only locally degree-1 modifications are supported"),
+            *[(DIAMOND, obj, message) for obj, message in TORUS_COMPLEX_ERRORS],
         ],
         ids=[
             "no-rays",
@@ -489,6 +527,7 @@ class TestErrors:
             "bool-surface-b1",
             "string-locally-degree-1",
             "false-locally-degree-1",
+            *TORUS_COMPLEX_IDS,
         ],
     )
     def test_malformed_input_names_the_item(self, capsys, files, argv, obj, message):
@@ -497,6 +536,13 @@ class TestErrors:
         assert rc == 1
         assert out == ""
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("obj, message", TORUS_COMPLEX_ERRORS, ids=TORUS_COMPLEX_IDS)
+    def test_complex_checks_name_the_file(self, capsys, files, obj, message):
+        bad = files("bad.json", obj)
+        rc, out, err = run(capsys, DIAMOND + [bad])
+        assert rc == 1 and out == ""
+        assert err == f"error: {bad}: {message}\n"
 
     @pytest.mark.parametrize(
         "argv, obj, location, got",

@@ -7,6 +7,7 @@ which only uses rank_of and never touches the Moebius recursion.
 
 import hashlib
 import json
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -100,6 +101,26 @@ class TestConstruction:
         with pytest.raises(MatroidError) as exc:
             mt.Matroid(n, tuple(tuple(frozenset(f) for f in level) for level in levels))
         assert str(exc.value) == message
+
+    def test_rank1_level_of_non_singletons_takes_the_pairwise_closure_test(self):
+        # one rank-2 flat, so no two share two elements; but {0, 1} meets it in {1}
+        levels = [[[]], [[0, 1], [2], [3]], [[1, 2, 3]], [[0, 1, 2, 3]]]
+        with pytest.raises(MatroidError) as exc:
+            mt.Matroid(4, tuple(tuple(frozenset(f) for f in level) for level in levels))
+        assert str(exc.value) == "flats not closed under intersection: [0, 1], [1, 2, 3]"
+
+    def test_from_lines_on_200_points_in_general_position(self):
+        # the closure test is linear in the flats' sizes, not quadratic in their number
+        start = time.monotonic()
+        m = mt.from_lines(200, [])
+        assert time.monotonic() - start < 5.0
+        assert len(m.flats(2)) == 200 * 199 // 2
+
+    def test_canonical_levels_are_kept_as_given(self, braid):
+        levels = braid.flats_by_rank
+        assert all(a is b for a, b in zip(mt.Matroid(6, levels).flats_by_rank, levels))
+        m = mt.Matroid(6, tuple(tuple(reversed(level)) for level in levels))
+        assert m == braid and m.flats_by_rank == levels
 
     def test_closure_and_rank(self, braid):
         assert braid.closure([0, 1]) == frozenset([0, 1, 3])
@@ -228,6 +249,14 @@ class TestEnumeration:
         for m in all_small_matroids:
             assert set(vars(m)) == {"n", "flats_by_rank"}
             assert all(type(f) is frozenset for f in m.all_flats())
+
+    def test_matroids_share_their_fixed_levels(self, all_small_matroids):
+        for n in range(3, 8):
+            ms = [m for m in all_small_matroids if m.n == n]
+            first = ms[0].flats_by_rank
+            for m in ms:
+                assert all(m.flats(r) is first[r] for r in (0, 1, 3))
+            assert len({id(m.flats(2)) for m in ms}) == len(ms)
 
     def test_all_simple_rank3(self):
         for m in mt.enumerate_simple_rank3(5):
