@@ -25,6 +25,7 @@ def main():
     for n in range(3, args.max_n + 1):
         start = time.monotonic()
         ms = mt.enumerate_simple_rank3(n)
+        enumerated = time.monotonic()
         grand += len(ms)
         for m in ms:
             assert fi.k_squared(m) == fi.k_squared_local(m)
@@ -39,7 +40,8 @@ def main():
                 assert mt.is_isomorphic(rec, m)
         print(
             f"n={n}: {len(ms):5d} labeled matroids, "
-            f"all checks pass ({time.monotonic() - start:.1f}s)"
+            f"all checks pass (enumerate {enumerated - start:.1f}s, "
+            f"checks {time.monotonic() - enumerated:.1f}s)"
         )
     print(f"total: {grand} matroids")
 

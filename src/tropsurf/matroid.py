@@ -31,14 +31,39 @@ def _canon(flats):
 
 
 def _meet_in_at_most_one(n, flats, masks):
-    """True when no two of the flats on range(n) share two elements."""
-    near = dict.fromkeys(range(n), 0)  # near[i]: the union of the flats so far through i
+    """``near``, where near[i] is the union of the flats on range(n) through i,
+    or None when two of the flats share two elements."""
+    near = dict.fromkeys(range(n), 0)
     for f, m in zip(flats, masks):
         for i in f:
             if (near[i] & m).bit_count() > 1:
-                return False
+                return None
             near[i] |= m
-    return True
+    return near
+
+
+def _covers_and_ranks(levels, masks, full):
+    """The covering axiom and strict ranks, on the levels' bitmasks."""
+    # covering axiom: flats of rank r+1 over F partition E \ F.  The top flat alone
+    # covers, and contains, each flat of the rank below, so both loops stop short of it
+    above = set()
+    for r in range(len(levels) - 2):
+        for f, fm in zip(levels[r], masks[r]):
+            # F < G exactly when F | G == G, as no flat is listed twice
+            covers = [g for g in masks[r + 1] if fm | g == g]
+            covered = fm
+            for g in covers:
+                if covered & g != fm:
+                    raise MatroidError(f"covers of {sorted(f)} overlap outside the flat")
+                covered |= g
+            if covered != full:
+                raise MatroidError(f"covers of {sorted(f)} do not partition the rest")
+            above.update(covers)
+    # ranks must be strict: each rank-(r+1) flat properly contains a rank-r flat
+    for r in range(1, len(levels) - 1):
+        for g, gm in zip(levels[r], masks[r]):
+            if gm not in above:
+                raise MatroidError(f"flat {sorted(g)} has no subflat of rank {r-1}")
 
 
 @frozen
@@ -97,7 +122,8 @@ class Matroid:
         # When every element is a rank-1 flat of a rank-3 lattice, two flats below the
         # top meet in a flat if no two rank-2 flats share two elements; else test pairs
         simple3 = len(levels) == 4 and masks[1] == [1 << i for i in range(n)]
-        if not (simple3 and _meet_in_at_most_one(n, levels[2], masks[2])):
+        near = _meet_in_at_most_one(n, levels[2], masks[2]) if simple3 else None
+        if near is None:
             pairs = combinations([m for row in masks[1:-1] for m in row], 2)
             if not set(starmap(and_, pairs)) <= seen:
                 mid = [f for level in levels[1:-1] for f in level]
@@ -107,26 +133,15 @@ class Matroid:
                 raise MatroidError(
                     f"flats not closed under intersection: {sorted(f)}, {sorted(g)}"
                 )
-        # covering axiom: flats of rank r+1 over F partition E \ F.  The top flat alone
-        # covers, and contains, each flat of the rank below, so both loops stop short of it
-        full, above = (1 << n) - 1, set()
-        for r in range(self.rank - 1):
-            for f, fm in zip(levels[r], masks[r]):
-                # F < G exactly when F | G == G, as no flat is listed twice
-                covers = [g for g in masks[r + 1] if fm | g == g]
-                covered = fm
-                for g in covers:
-                    if covered & g != fm:
-                        raise MatroidError(f"covers of {sorted(f)} overlap outside the flat")
-                    covered |= g
-                if covered != full:
-                    raise MatroidError(f"covers of {sorted(f)} do not partition the rest")
-                above.update(covers)
-        # ranks must be strict: each rank-(r+1) flat properly contains a rank-r flat
-        for r in range(1, self.rank):
-            for g, gm in zip(levels[r], masks[r]):
-                if gm not in above:
-                    raise MatroidError(f"flat {sorted(g)} has no subflat of rank {r-1}")
+        full = (1 << n) - 1
+        # Simple rank 3 with the lines through each point i covering the ground set:
+        # the singletons partition it, the lines through i meet only in i (no two
+        # share two elements) and so partition the rest, and every rank-2 flat has
+        # two or more elements (an empty or one-element one is listed twice), so it
+        # lies above a point.  No covers or ranks check can fail, so none is run
+        if near is not None and all(m == full for m in near.values()):
+            return
+        _covers_and_ranks(levels, masks, full)
 
     # -- queries -----------------------------------------------------------
 

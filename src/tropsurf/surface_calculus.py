@@ -367,10 +367,12 @@ def _at(where, path, message):
 def parse_curve(obj, path="curve"):
     if not isinstance(obj, dict):
         raise SurfaceError(f"{path} must be an object, got {obj!r}")
-    return CurveDescriptor(
-        integer(field(obj, "b1", path, SurfaceError), f"{path}.b1", SurfaceError),
-        integers(obj.get("valencies", []), f"{path}.valencies", SurfaceError),
-    )
+    b1 = integer(field(obj, "b1", path, SurfaceError), f"{path}.b1", SurfaceError)
+    valencies = integers(obj.get("valencies", []), f"{path}.valencies", SurfaceError)
+    try:
+        return CurveDescriptor(b1, valencies)
+    except SurfaceError as exc:
+        raise SurfaceError(f"{path}: {exc}") from exc
 
 
 # the sub-expressions of each operation, in evaluation order
@@ -407,21 +409,22 @@ def parse_surface(obj, where="", path=""):
     def name(key):
         return str(field(body, key, node, SurfaceError))
 
+    # field reads name their own node; only the library call is wrapped, so a
+    # domain error names the node once
     if op == "toric":
         rays = field(body, "rays", node, SurfaceError)
         if not isinstance(rays, (list, tuple)) or any(
             not isinstance(r, (list, tuple)) or len(r) != 2 for r in rays
         ):
             raise SurfaceError(f"{node}.rays must be a list of integer pairs, got {rays!r}")
-        return toric_surface(Fan2D(tuple(
-            integers(r, f"{node}.rays[{k}]", SurfaceError) for k, r in enumerate(rays)
-        )))
-    if op == "sum":
-        return tropical_sum(sub[0], name("left_curve"), sub[1], name("right_curve"))
-    if op == "selfsum":
-        return self_sum(sub[0], name("curve1"), name("curve2"))
-    if op == "modify":
-        return modify(
+        rays = tuple(integers(r, f"{node}.rays[{k}]", SurfaceError) for k, r in enumerate(rays))
+        build, args = (lambda rays: toric_surface(Fan2D(rays))), (rays,)
+    elif op == "sum":
+        build, args = tropical_sum, (sub[0], name("left_curve"), sub[1], name("right_curve"))
+    elif op == "selfsum":
+        build, args = self_sum, (sub[0], name("curve1"), name("curve2"))
+    elif op == "modify":
+        build, args = modify, (
             sub[0],
             parse_curve(field(body, "curve", node, SurfaceError), f"{node}.curve"),
             integer(field(body, "self_intersection", node, SurfaceError),
@@ -430,7 +433,12 @@ def parse_surface(obj, where="", path=""):
             boolean(body.get("locally_degree_1", True), f"{node}.locally_degree_1",
                     SurfaceError),
         )
-    return contract(sub[0], name("curve"))
+    else:
+        build, args = contract, (sub[0], name("curve"))
+    try:
+        return build(*args)
+    except SurfaceError as exc:
+        raise SurfaceError(f"{node}: {exc}") from exc
 
 
 def surface_report(x):

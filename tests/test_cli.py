@@ -280,6 +280,7 @@ PAIR_WITH_TORUS = [
 DIAMOND = ["homology", "diamond", "--complex"]
 RECONSTRUCT = ["fan", "reconstruct", "--fan"]
 TWO_RAYS = [{"dir": [1, 0]}, {"dir": [0, 1]}]
+TP2 = {"toric": {"rays": [[1, 0], [0, 1], [-1, -1]]}}
 
 
 def _torus_cycles(edit):
@@ -535,12 +536,40 @@ class TestErrors:
         rc, out, err = run(capsys, argv + [bad])
         assert rc == 1
         assert out == ""
-        assert err.startswith("error: ") and message in err
+        assert err.startswith(f"error: {bad}: ") and message in err
 
     @pytest.mark.parametrize("obj, message", TORUS_COMPLEX_ERRORS, ids=TORUS_COMPLEX_IDS)
     def test_complex_checks_name_the_file(self, capsys, files, obj, message):
         bad = files("bad.json", obj)
         rc, out, err = run(capsys, DIAMOND + [bad])
+        assert rc == 1 and out == ""
+        assert err == f"error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"sum": {"left": TP2, "left_curve": "NOPE", "right": TP2, "right_curve": "D0"}},
+             "sum: no boundary curve 'NOPE'"),
+            ({"contract": {"base": TP2, "curve": "D0"}},
+             "contract: contraction needs self-intersection -1"),
+            ({"toric": {"rays": [[1, 0], [2, 0], [-1, -1]]}},
+             "toric: ray (2, 0) is not primitive"),
+            ({"modify": {"base": TP2, "curve": {"b1": 0, "valencies": [1, 1]},
+                         "self_intersection": -1, "id": "E", "locally_degree_1": False}},
+             "modify: only locally degree-1 modifications are supported"),
+            ({"modify": {"base": TP2, "curve": {"b1": 0, "valencies": [1, 2]},
+                         "self_intersection": 0, "id": "E"}},
+             "modify.curve: valencies and b1 disagree: sum(val - 2) must be 2 b1 - 2"),
+            ({"sum": {"left": {"contract": {"base": TP2, "curve": "D0"}}, "left_curve": "D0",
+                      "right": TP2, "right_curve": "D0"}},
+             "sum.left.contract: contraction needs self-intersection -1"),
+        ],
+        ids=["sum-unknown-curve", "contract-not-minus-one", "toric-not-primitive",
+             "modify-not-degree-1", "modify-bad-curve", "nested-contract"],
+    )
+    def test_surface_operation_errors_name_the_node(self, capsys, files, obj, message):
+        bad = files("bad.json", obj)
+        rc, out, err = run(capsys, ["surface", "check", "--expr", bad])
         assert rc == 1 and out == ""
         assert err == f"error: {bad}: {message}\n"
 

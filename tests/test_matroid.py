@@ -7,6 +7,7 @@ which only uses rank_of and never touches the Moebius recursion.
 
 import hashlib
 import json
+import random
 import time
 from collections import Counter
 from itertools import combinations
@@ -26,6 +27,69 @@ def whitney_char_poly(m):
             coeffs[m.rank - m.rank_of(s)] += (-1) ** size
     coeffs.reverse()
     return tuple(coeffs)
+
+
+def reference_validate(n, levels):
+    """The axioms ``Matroid`` checks, in the same order, on frozensets: no
+    bitmasks and no shortcut.  Returns the first violation's message, or None."""
+    if n < 1:
+        return "ground set must be nonempty"
+    if not levels or levels[0] != (frozenset(),):
+        return "unique rank-0 flat must be the empty set (loopless)"
+    ground = frozenset(range(n))
+    if levels[-1] != (ground,):
+        return "unique top flat must be the whole ground set"
+    seen = set()
+    for r, level in enumerate(levels):
+        if not level:
+            return f"no flats of rank {r}"
+        for f in level:
+            if not f <= ground:
+                return f"flat {sorted(f)} outside ground set"
+            if f in seen:
+                return f"flat {sorted(f)} listed twice"
+            seen.add(f)
+    mid = [f for level in levels[1:-1] for f in level]
+    for f, g in combinations(mid, 2):
+        if f & g not in seen:
+            return f"flats not closed under intersection: {sorted(f)}, {sorted(g)}"
+    for r in range(len(levels) - 2):
+        for f in levels[r]:
+            covered = f
+            for g in levels[r + 1]:
+                if f < g:
+                    if covered & g != f:
+                        return f"covers of {sorted(f)} overlap outside the flat"
+                    covered |= g
+            if covered != ground:
+                return f"covers of {sorted(f)} do not partition the rest"
+    for r in range(1, len(levels) - 1):
+        for g in levels[r]:
+            if not any(f < g for f in levels[r - 1]):
+                return f"flat {sorted(g)} has no subflat of rank {r - 1}"
+    return None
+
+
+def corrupt(m, rng):
+    """The levels of m with its rank-2 level dropped from, grown, shrunk,
+    merged or added to at random, or left as they are; each level in the
+    canonical order ``Matroid`` keeps."""
+    lines = list(m.flats(2))
+    how = rng.choice(["drop", "grow", "shrink", "merge", "add", "keep"])
+    k = rng.randrange(len(lines))
+    if how == "drop":
+        del lines[k]
+    elif how == "grow" and len(lines[k]) < m.n:
+        lines[k] |= {rng.choice(sorted(set(range(m.n)) - lines[k]))}
+    elif how == "shrink":
+        lines[k] -= {rng.choice(sorted(lines[k]))}
+    elif how == "merge":
+        j = rng.choice([j for j in range(len(lines)) if j != k])
+        lines = [f for i, f in enumerate(lines) if i not in (j, k)] + [lines[j] | lines[k]]
+    elif how == "add":
+        lines.append(frozenset(rng.sample(range(m.n), rng.randrange(2, m.n))))
+    levels = m.flats_by_rank[:2] + (tuple(lines),) + m.flats_by_rank[3:]
+    return tuple(tuple(sorted(sorted(lv, key=sorted), key=len)) for lv in levels)
 
 
 @st.composite
@@ -115,6 +179,51 @@ class TestConstruction:
         m = mt.from_lines(200, [])
         assert time.monotonic() - start < 5.0
         assert len(m.flats(2)) == 200 * 199 // 2
+
+    def test_validation_agrees_with_the_axioms_on_corrupted_lattices(
+        self, all_small_matroids
+    ):
+        rng = random.Random(13)
+        outcomes = Counter()
+        for _ in range(6000):
+            m = rng.choice(all_small_matroids)
+            levels = corrupt(m, rng)
+            expected = reference_validate(m.n, levels)
+            try:
+                mt.Matroid(m.n, levels)
+                got = None
+            except MatroidError as exc:
+                got = str(exc)
+            assert got == expected, levels
+            outcomes[expected and expected.split(" ", 1)[0]] += 1
+        # accepted, and rejected by closure, by covers and as listed twice
+        assert set(outcomes) == {None, "flats", "covers", "flat"}, outcomes
+
+    def test_from_lines_on_400_points_in_general_position(self):
+        # validation is one pass over the rank-2 flats: no covers scan per point
+        start = time.monotonic()
+        m = mt.from_lines(400, [])
+        assert time.monotonic() - start < 5.0
+        assert len(m.flats(2)) == 400 * 399 // 2
+
+    def test_simple_rank3_lattices_skip_the_covers_scan(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return covers_and_ranks(*args)
+
+        covers_and_ranks = mt._covers_and_ranks
+        monkeypatch.setattr(mt, "_covers_and_ranks", counted)
+        for n in range(3, 8):
+            mt.enumerate_simple_rank3(n)
+        mt.from_lines(400, [])
+        assert calls == []
+        u34 = mt.uniform(3, 4).flats_by_rank
+        dropped = u34[:2] + (u34[2][1:],) + u34[3:]  # {0, 1} is not a flat
+        with pytest.raises(MatroidError, match=r"^covers of \[0\] do not partition the rest$"):
+            mt.Matroid(4, dropped)
+        assert len(calls) == 1
 
     def test_canonical_levels_are_kept_as_given(self, braid):
         levels = braid.flats_by_rank
