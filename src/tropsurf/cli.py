@@ -57,6 +57,13 @@ def _load(path):
         raise TropsurfError(f"{path} is nested too deeply to read") from exc
 
 
+# The largest ground set a matroid file may ask for.  A 25-byte file can
+# name any n, and U_{3,n} alone has n(n-1)/2 rank-2 flats (building
+# U_{3,800} peaks at 134 MB traced), so a larger n is refused before
+# anything is built.  No workload this tool targets goes past n = 100.
+MAX_ELEMENTS = 100
+
+
 def load_matroid(path):
     from . import matroid as mt
 
@@ -64,6 +71,8 @@ def load_matroid(path):
     if not isinstance(obj, dict) or not ("lines" in obj or "flats" in obj):
         raise MatroidError(f"{path}: matroid files need a 'lines' or 'flats' key")
     n = integer(field(obj, "n", path, MatroidError), f"{path}: n", MatroidError)
+    if n > MAX_ELEMENTS:
+        raise MatroidError(f"{path}: n must be at most {MAX_ELEMENTS}, got {n}")
     elements = "integer elements"
     if "lines" in obj:
         lines = items(obj["lines"], f"{path}: lines", "lines", MatroidError)
@@ -92,7 +101,7 @@ def load_cycle(path):
         direction = integers(field(r, "dir", where, CycleError), f"{where}.dir", CycleError)
         weight = field(r, "weight", where, CycleError)
         rays.append((direction, integer(weight, f"{where}.weight", CycleError)))
-    dim = integer(field(obj, "dim", path, CycleError), f"{path}: dim", CycleError)
+    dim = integer(field(obj, "dim", path, CycleError), f"{path}: dim", CycleError, low=0)
     return fan_cycles.FanCycle(dim, tuple(rays))
 
 
@@ -206,6 +215,11 @@ def cmd_fan_reconstruct(args):
             )
         cones.append((int(c[0]), int(c[1])))
     dim = integer(field(obj, "dim", path, FanError), f"{path}: dim", FanError)
+    if dim >= MAX_ELEMENTS:  # the matroid has dim + 1 elements
+        raise FanError(
+            f"{path}: dim must be at most {MAX_ELEMENTS - 1} "
+            f"(a matroid on at most {MAX_ELEMENTS} elements), got {dim}"
+        )
     m = bergman.reconstruct_matroid(rays, cones, dim)
     payload = matroid_to_json(m)
     lines = [
@@ -234,16 +248,18 @@ def cmd_cycle_degree(args):
         plane = bergman.build_fan(m)
         payload["in_plane"] = fan_cycles.lies_in(c, plane)
         lines.append(f"lies in plane: {'yes' if payload['in_plane'] else 'no'}")
-        ends = []
-        for d, w in c.rays:
-            kind, where = fan_cycles.boundary_point(basis, m, d)
-            where = where if kind == "line" else sorted(where)
-            ends.append({"dir": list(d), "weight": w, "kind": kind, "at": where})
-        payload["boundary"] = ends
-        for e in ends:
-            lines.append(
-                f"  ray {e['dir']} x{e['weight']} ends on {e['kind']} {e['at']}"
-            )
+        if payload["in_plane"]:
+            # only a ray inside the plane leaves it through its boundary
+            ends = []
+            for d, w in c.rays:
+                kind, where = fan_cycles.boundary_point(basis, m, d)
+                where = where if kind == "line" else sorted(where)
+                ends.append({"dir": list(d), "weight": w, "kind": kind, "at": where})
+            payload["boundary"] = ends
+            for e in ends:
+                lines.append(
+                    f"  ray {e['dir']} x{e['weight']} ends on {e['kind']} {e['at']}"
+                )
     _emit(args, payload, lines)
 
 

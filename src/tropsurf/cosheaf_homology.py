@@ -170,6 +170,29 @@ def diamond(x):
     }
 
 
+def toric_complex(fan):
+    """The compact tropical toric surface of a complete fan in R^2 (any
+    object with counterclockwise primitive ``rays``) as a cell complex.
+
+    One 2-cell "F" with F_1 = Z^2, one edge "D{i}" per ray with
+    F_1 = Z^2/<v_i> = Z (transport w -> det(v_i, w), the row
+    (-v_i[1], v_i[0])), and one vertex "P{i}" with F_1 = 0 where D_i meets
+    D_{i+1}; D_i runs from P_{i-1} to P_i, so the 2-cell's boundary is the
+    sum of all the edges.
+    """
+    n = len(fan.rays)
+    cells = [Cell("F", 2)]
+    cells += [Cell(f"D{i}", 1) for i in range(n)]
+    cells += [Cell(f"P{i}", 0) for i in range(n)]
+    atts = []
+    for i, (a, b) in enumerate(fan.rays):
+        atts.append(Attachment("F", f"D{i}", 1, ((-b, a),)))
+        atts.append(Attachment(f"D{i}", f"P{i}", 1, ()))
+        atts.append(Attachment(f"D{i}", f"P{(i - 1) % n}", -1, ()))
+    # every cell's F_1 rank equals its dimension
+    return CellComplex(tuple(cells), tuple(atts), tuple((c.id, c.dim) for c in cells))
+
+
 # -- JSON --------------------------------------------------------------------
 
 

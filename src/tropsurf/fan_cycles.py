@@ -18,15 +18,26 @@ from .intlinalg import primitive
 
 @frozen
 class FanCycle:
-    """rays: tuple of (direction, weight); directions primitive, distinct."""
+    """rays: tuple of (direction, weight); directions primitive, distinct.
+
+    A direction given as a primitive tuple of ints is kept as that very
+    tuple, so cycles built from one another (``scale``, ``+``) share their
+    direction tuples; any other integral direction is converted.
+    """
 
     dim: int
     rays: tuple
 
     def __post_init__(self):
+        if self.dim < 0:
+            raise CycleError(f"cycle dim must be >= 0, got {self.dim!r}")
         merged = {}
         for direction, weight in self.rays:
-            d, w = tuple(map(int, direction)), int(weight)
+            if type(direction) is tuple and all(type(x) is int for x in direction):
+                d = direction
+            else:
+                d = tuple(map(int, direction))
+            w = int(weight)
             if d != tuple(direction) or w != weight:
                 raise CycleError(f"ray {direction!r} of weight {weight!r} is not integral")
             if len(d) != self.dim:

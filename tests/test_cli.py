@@ -161,6 +161,29 @@ class TestCycleDegree:
             "  ray [1, 1, -1] x1 ends on point [0, 3]\n"
         )
 
+    def test_cycle_outside_the_plane(self, capsys, files, u34_file):
+        # balanced, but (1,1,1) = -u_0 sits over {1,2,3}, not a flat of U_{3,4}
+        c = files("diag.json", {"dim": 3, "rays": [{"dir": [1, 1, 1], "weight": 1},
+                                                   {"dir": [-1, -1, -1], "weight": 1}]})
+        argv = ["cycle", "degree", "--cycle", c, "--matroid", u34_file]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0
+        assert out == (
+            "cycle with 2 rays in R^3\n"
+            "balanced: yes\n"
+            "degree: 1\n"
+            "lies in plane: no\n"
+        )
+        rc, out, _ = run(capsys, argv + ["--json"])
+        assert rc == 0
+        assert json.loads(out) == {"balanced": True, "degree": 1, "dim": 3, "in_plane": False}
+
+    def test_negative_dim_rejected(self, capsys, files):
+        c = files("neg.json", {"dim": -3, "rays": []})
+        rc, out, err = run(capsys, ["cycle", "degree", "--cycle", c])
+        assert rc == 1 and out == ""
+        assert err == f"error: {c}: dim must be an integer >= 0, got -3\n"
+
     def test_unbalanced_reported_without_degree(self, capsys, files):
         c = files(
             "bad.json",
@@ -471,7 +494,7 @@ class TestErrors:
             (["matroid", "info", "--matroid"], {"n": True, "lines": []},
              "n must be an integer, got True"),
             (["cycle", "degree", "--json", "--cycle"], {"dim": True, "rays": []},
-             "dim must be an integer, got True"),
+             "dim must be an integer >= 0, got True"),
             (DIAMOND, json.loads(json.dumps(load_data("torus.json")).replace(
                 '"sign": 1', '"sign": true')),
              "incidences[0].sign must be 1 or -1, got True"),
@@ -667,7 +690,8 @@ class TestCycleAndPlaneDimensions:
 
 
 class TestWorkBoundedByInput:
-    """A large dim with no rays is answered without building a basis."""
+    """A large dim with no rays is answered without building a basis, and
+    a matroid past MAX_ELEMENTS elements is refused before it is built."""
 
     @pytest.fixture
     def bases(self, monkeypatch):
@@ -696,6 +720,38 @@ class TestWorkBoundedByInput:
         rc, out, err = run(capsys, RECONSTRUCT + [fan])
         assert rc == 1 and out == ""
         assert message in err
+        assert bases == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["matroid", "info", "--matroid"], ["fan", "build", "--matroid"],
+         ["intersect", "bezout", "--cycle", "c.json", "--cycle2", "c.json", "--matroid"]],
+        ids=["matroid-info", "fan-build", "bezout"],
+    )
+    @pytest.mark.parametrize("n", [101, 4000])
+    def test_matroid_past_the_element_bound(self, capsys, monkeypatch, files, argv, n):
+        from tropsurf import matroid
+
+        def refuse(*args, **kwargs):  # fail fast rather than build U_{3,4000}
+            raise AssertionError("a matroid past the bound was built")
+
+        monkeypatch.setattr(matroid, "from_lines", refuse)
+        m = files("big.json", {"n": n, "lines": []})
+        start = time.monotonic()
+        rc, out, err = run(capsys, argv + [m])
+        assert time.monotonic() - start < 1.0
+        assert rc == 1 and out == ""
+        assert err == f"error: {m}: n must be at most {cli.MAX_ELEMENTS}, got {n}\n"
+
+    def test_fan_reconstruct_past_the_element_bound(self, capsys, files, bases):
+        fan = files("fan.json", {"dim": 3999, "rays": [], "cones": []})
+        start = time.monotonic()
+        rc, out, err = run(capsys, RECONSTRUCT + [fan])
+        assert time.monotonic() - start < 1.0
+        assert rc == 1 and out == ""
+        bound = cli.MAX_ELEMENTS
+        assert err == (f"error: {fan}: dim must be at most {bound - 1} "
+                       f"(a matroid on at most {bound} elements), got 3999\n")
         assert bases == []
 
     def test_cycle_degree_without_rays(self, capsys, files, bases):

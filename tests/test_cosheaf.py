@@ -1,6 +1,8 @@
 """Cell complexes with transported lattice coefficients: homology
 diamonds, the (1,1) intersection pairing, and its signature."""
 
+import random
+
 import numpy
 import pytest
 import sympy
@@ -10,6 +12,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from tropsurf import cosheaf_homology as ch
 from tropsurf import intlinalg as il
+from tropsurf import surface_calculus as sc
 from tropsurf.errors import ComplexError
 
 from conftest import load_data
@@ -169,6 +172,40 @@ class TestDiamonds:
         assert str(ch.homology(klein, 0, 0)) == "Z"
         assert str(ch.homology(klein, 0, 1)) == "Z + Z/2"
         assert str(ch.homology(klein, 0, 2)) == "0"
+
+
+def chi_c2(d):
+    """(chi, c2) read off a diamond: chi = sum_q (-1)^q h_{0,q} and
+    c2 = sum_{p,q} (-1)^{p+q} h_{p,q}."""
+    chi = sum((-1) ** q * h.free_rank for (p, q), h in d.items() if p == 0)
+    c2 = sum((-1) ** (p + q) * h.free_rank for (p, q), h in d.items())
+    return chi, c2
+
+
+class TestToricComplex:
+    """A second route to (chi, c2): the homology of a toric surface's cell
+    complex against the invariants surface_calculus gives it."""
+
+    def test_projective_plane(self):
+        d = ch.diamond(ch.toric_complex(sc.tp2_fan()))
+        assert {k: str(h) for k, h in d.items() if h.free_rank or h.torsion} == {
+            (0, 0): "Z", (1, 1): "Z", (2, 2): "Z"
+        }
+
+    def test_subdivided_fans_match_the_calculus(self):
+        rng = random.Random(20151)
+        for _ in range(40):
+            if rng.random() < 0.3:
+                fan = sc.tp2_fan()
+            else:
+                fan = sc.hirzebruch_fan(rng.randint(0, 5))
+            for _ in range(rng.randint(0, 5)):
+                fan = fan.star_subdivide(rng.randrange(fan.n))
+            d = ch.diamond(ch.toric_complex(fan))
+            assert all(h.torsion == () for h in d.values())
+            assert d[1, 1].free_rank == fan.n - 2
+            x = sc.toric_surface(fan)
+            assert chi_c2(d) == (x.chi, x.c2)
 
 
 class TestOneBuildPerMatrix:

@@ -3,6 +3,7 @@ fan 1-cycles."""
 
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from tropsurf import bergman as bg
 from tropsurf import fan_cycles as fc
 from tropsurf.errors import CycleError
 
-from cycle_gen import random_cycle
+from cycle_gen import generators, random_cycle
 from test_matroid import matroids
 
 CONIC = fc.FanCycle(3, (((-2, -1, 0), 1), ((1, 0, 1), 1), ((1, 1, -1), 1)))
@@ -138,6 +139,48 @@ class TestNormalization:
         c = fc.FanCycle(2, (((Fraction(4), 0.0), 1.0), ((-1, 0), Fraction(2))))
         assert c.rays == (((-1, 0), 2), ((1, 0), 4))
         assert all(type(x) is int for d, w in c.rays for x in d + (w,))
+
+    def test_negative_dim_rejected(self):
+        with pytest.raises(CycleError, match="dim must be >= 0, got -3"):
+            fc.FanCycle(-3, ())
+
+
+class TestSharedDirections:
+    """A primitive tuple of ints is kept as given, so cycles derived from
+    one another hold the same direction objects; anything else is
+    converted to a fresh normalized tuple of ints."""
+
+    def test_primitive_int_tuples_are_kept(self):
+        given_dirs = [(-2, -1, 0), (1, 0, 1), (1, 1, -1)]
+        c = fc.FanCycle(3, tuple((d, 1) for d in given_dirs))
+        kept = [d for d, _ in c.rays]
+        assert sorted(map(id, kept)) == sorted(map(id, given_dirs))
+        for derived in (c.scale(3), c.scale(-1), c + c, c + c.scale(2)):
+            assert all(a is b for (a, _), (b, _) in zip(derived.rays, c.rays))
+
+    def test_sum_of_generators_shares_their_directions(self, braid):
+        gens = generators(bg.build_fan(braid))
+        owned = {id(d) for g in gens for d, _ in g.rays}
+        c = gens[0] + gens[1].scale(2) + gens[-1].scale(-1)
+        assert c.rays and all(id(d) in owned for d, _ in c.rays)
+
+    @pytest.mark.parametrize(
+        "direction, weight",
+        [
+            ([1, 0], 1),
+            ((True, False), 1),
+            ((numpy.int64(1), numpy.int64(0)), 1),
+            ((Fraction(1), Fraction(0)), 1),
+            ((3, 0), 3),
+        ],
+        ids=["list", "bool", "numpy", "fraction", "non-primitive"],
+    )
+    def test_other_directions_are_converted(self, direction, weight):
+        c = fc.FanCycle(2, ((direction, 1), ((-1, 0), 2)))
+        assert c.rays == (((-1, 0), 2), ((1, 0), weight))
+        d = c.rays[1][0]
+        assert type(d) is tuple and d is not direction
+        assert all(type(x) is int for x in d)
 
 
 def naive_rays(rays):
