@@ -119,13 +119,6 @@ class FanPlane:
     def ambient_dim(self):
         return self.basis.dim
 
-    def ray_index(self, flat):
-        flat = frozenset(flat)
-        for k, r in enumerate(self.rays):
-            if r.flat == flat:
-                return k
-        raise FanError(f"no coarse ray for flat {sorted(flat)}")
-
     def contains_direction(self, v):
         """Is the ray through v inside the support of the fan?"""
         v = tuple(v)
@@ -228,17 +221,6 @@ def sigma(plane, ray_index):
     if r or any(s[k] != c * v[k] for k in range(n)):
         raise FanError("adjacent ray sum is not a multiple of the ray")
     return c
-
-
-def link_graph(plane):
-    """(labels, edges): the graph of coarse rays and coarse cones.
-
-    Labels are the flats; edges may repeat (the coarse structure of a
-    line-times-R plane is a multigraph on two vertices).
-    """
-    labels = [tuple(sorted(r.flat)) for r in plane.rays]
-    edges = [(c.i, c.j) for c in plane.cones]
-    return labels, edges
 
 
 # -- classification of missing rays ----------------------------------------

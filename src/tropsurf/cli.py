@@ -61,7 +61,18 @@ def _load(path):
 # name any n, and U_{3,n} alone has n(n-1)/2 rank-2 flats (building
 # U_{3,800} peaks at 134 MB traced), so a larger n is refused before
 # anything is built.  No workload this tool targets goes past n = 100.
+# Fan and cycle files live in R^dim for a matroid on dim + 1 elements, so
+# their dim is bounded too: a basis of R^dim costs dim^2 memory.
 MAX_ELEMENTS = 100
+
+
+def _bounded_dim(path, dim, error):
+    if dim >= MAX_ELEMENTS:
+        raise error(
+            f"{path}: dim must be at most {MAX_ELEMENTS - 1} "
+            f"(a matroid on at most {MAX_ELEMENTS} elements), got {dim}"
+        )
+    return dim
 
 
 def load_matroid(path):
@@ -102,7 +113,7 @@ def load_cycle(path):
         weight = field(r, "weight", where, CycleError)
         rays.append((direction, integer(weight, f"{where}.weight", CycleError)))
     dim = integer(field(obj, "dim", path, CycleError), f"{path}: dim", CycleError, low=0)
-    return fan_cycles.FanCycle(dim, tuple(rays))
+    return fan_cycles.FanCycle(_bounded_dim(path, dim, CycleError), tuple(rays))
 
 
 def fan_to_json(plane):
@@ -215,12 +226,7 @@ def cmd_fan_reconstruct(args):
             )
         cones.append((int(c[0]), int(c[1])))
     dim = integer(field(obj, "dim", path, FanError), f"{path}: dim", FanError)
-    if dim >= MAX_ELEMENTS:  # the matroid has dim + 1 elements
-        raise FanError(
-            f"{path}: dim must be at most {MAX_ELEMENTS - 1} "
-            f"(a matroid on at most {MAX_ELEMENTS} elements), got {dim}"
-        )
-    m = bergman.reconstruct_matroid(rays, cones, dim)
+    m = bergman.reconstruct_matroid(rays, cones, _bounded_dim(path, dim, FanError))
     payload = matroid_to_json(m)
     lines = [
         f"reconstructed matroid on {m.n} elements",

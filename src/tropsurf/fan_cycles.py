@@ -93,14 +93,6 @@ def degree(cycle, basis):
     return totals[0]
 
 
-def degree_over_bases(cycle, bases):
-    """min over the supplied unimodular bases; the projective degree is the
-    minimum over all of them, which we only ever approximate from a list."""
-    if not bases:
-        raise CycleError("need at least one basis")
-    return min(degree(cycle, b) for b in bases)
-
-
 def lies_in(cycle, plane):
     if cycle.dim != plane.ambient_dim:
         raise CycleError(

@@ -77,11 +77,6 @@ def corner_multiplicities(plane, c1, c2):
     return out
 
 
-def vertex_multiplicity(plane, c1, c2):
-    """(C1 . C2)_vertex = deg C1 * deg C2 - sum of corner multiplicities."""
-    return bezout(plane, c1, c2)["vertex"]
-
-
 def bezout(plane, c1, c2):
     """Full intersection report; total always equals deg C1 * deg C2.  The
     corners come first: they check that both cycles lie in the plane."""

@@ -321,11 +321,6 @@ def characteristic_polynomial(m):
     return tuple(coeffs)
 
 
-def reduced_characteristic_polynomial(m):
-    """chi_M(t) / (t - 1), highest degree first.  Exact division."""
-    return divide_by_t_minus_one(characteristic_polynomial(m))
-
-
 def divide_by_t_minus_one(coeffs):
     """chi(t) / (t - 1) from the coefficients of chi(t), highest degree
     first, by synthetic division.  Exact division."""
@@ -348,7 +343,7 @@ def poly_eval(coeffs, t):
 
 def chi_bar_at_one(m):
     """Reduced characteristic polynomial evaluated at 1 (beta invariant)."""
-    return poly_eval(reduced_characteristic_polynomial(m), 1)
+    return poly_eval(divide_by_t_minus_one(characteristic_polynomial(m)), 1)
 
 
 def chi_bar_at_one_from_lines(m):

@@ -8,15 +8,20 @@ degree c2 of the second Chern class, and a ledger of boundary curves
 The calculus implements:
 
   toric     -- a complete unimodular fan in R^2
-  sum       -- glue two surfaces along isomorphic boundary curves with
-               opposite self-intersections
-  self_sum  -- glue a surface to itself along two disjoint such curves
+  self_sum  -- glue a surface to itself along two disjoint boundary
+               curves, isomorphic with opposite self-intersections
+  sum       -- glue two surfaces along such curves: the self-sum of their
+               disjoint union, with ids prefixed "a." and "b."
   modify    -- a locally degree-1 modification along a curve; invariants
                are unchanged, the centre joins the ledger
   contract  -- remove a rational (-1)-curve (Castelnuovo-Enriques); the
-               curves that crossed it gain +1 and cross each other
+               curves that crossed it gain +1
 
-Noether's identity 12 chi = K^2 + c2 is asserted on every node.
+Gluing and contraction drop curves from the ledger by one rule: a curve
+that crossed a dropped curve crosses its replacements instead (the other
+glued curve's neighbours, or the contracted curve's), never itself.
+Every node asserts Noether's identity 12 chi = K^2 + c2, and that its
+crossings are symmetric and name other curves of its ledger.
 """
 
 from __future__ import annotations
@@ -71,7 +76,6 @@ CIRCLE = CurveDescriptor(1, ())
 class LedgerEntry:
     curve: CurveDescriptor
     self_intersection: int
-    snc: bool = True
     crossings: frozenset = frozenset()
 
 
@@ -87,9 +91,16 @@ class Surface:
             raise SurfaceError(
                 f"Noether fails: 12*{self.chi} != {self.k2} + {self.c2}"
             )
-        ids = [i for i, _ in self.ledger]
-        if len(set(ids)) != len(ids):
+        entries = dict(self.ledger)
+        if len(entries) != len(self.ledger):
             raise SurfaceError("duplicate ledger ids")
+        for i, e in self.ledger:
+            for c in e.crossings:
+                if c == i or c not in entries or i not in entries[c].crossings:
+                    raise SurfaceError(
+                        f"boundary curve {i!r} lists the crossing {c!r}, "
+                        "which is not another ledger curve that crosses it back"
+                    )
 
     @property
     def triple(self):
@@ -181,60 +192,43 @@ def toric_surface(fan):
     ledger = []
     for i, s in enumerate(selfs):
         crossings = frozenset({f"D{(i - 1) % n}", f"D{(i + 1) % n}"})
-        ledger.append((f"D{i}", LedgerEntry(SEGMENT, s, True, crossings)))
+        ledger.append((f"D{i}", LedgerEntry(SEGMENT, s, crossings)))
     return Surface(1, k2, n, tuple(ledger))
 
 
 # -- gluing operations -------------------------------------------------------
 
 
-def _check_summable(e1, e2):
-    if not (e1.snc and e2.snc):
-        raise SurfaceError("sum requires simple normal crossing boundary curves")
-    if not e1.curve.isomorphic(e2.curve):
-        raise SurfaceError("summed curves must be isomorphic")
-    if e1.self_intersection != -e2.self_intersection:
-        raise SurfaceError(
-            "summed curves need opposite self-intersections "
-            f"({e1.self_intersection} vs {e2.self_intersection})"
-        )
-
-
-def _drop(ledger, gone, prefix, neighbours_of_gone, foreign_neighbours):
-    """Rebuild one side's ledger for a sum: drop the summed curve, prefix
-    the ids, and let the curves that crossed it cross the other side's
-    neighbours through the neck."""
-    out = []
-    for i, e in ledger:
-        if i in gone:
+def _splice(x, replacements, gain=0):
+    """x's ledger without the curves keyed in ``replacements``.  A curve
+    that crossed a dropped curve c crosses replacements[c] instead, never
+    itself, and its self-intersection goes up by ``gain``."""
+    ledger = []
+    for i, e in x.ledger:
+        if i in replacements:
             continue
-        crossings = set()
-        for c in e.crossings:
-            if c in gone:
-                crossings |= foreign_neighbours
-            else:
-                crossings.add(prefix + c)
-        out.append((prefix + i, replace(e, crossings=frozenset(crossings))))
-    return out
+        met = e.crossings & replacements.keys()
+        if met:
+            crossings = e.crossings - met
+            for c in met:
+                crossings |= replacements[c]
+            e = replace(e, self_intersection=e.self_intersection + gain,
+                        crossings=crossings - {i})
+        ledger.append((i, e))
+    return tuple(ledger)
 
 
 def tropical_sum(x1, id1, x2, id2):
-    """Glue x1 and x2 along the boundary curves id1 and id2."""
-    e1, e2 = x1.entry(id1), x2.entry(id2)
-    _check_summable(e1, e2)
-    b1 = e1.curve.b1
-    kc = e1.curve.k_degree
-    n1 = {"a." + i for i, e in x1.ledger if id1 in e.crossings}
-    n2 = {"b." + i for i, e in x2.ledger if id2 in e.crossings}
-    ledger = _drop(x1.ledger, {id1}, "a.", n1, n2) + _drop(
-        x2.ledger, {id2}, "b.", n2, n1
+    """Glue x1 and x2 along the boundary curves id1 and id2: the self-sum
+    of their disjoint union along a.id1 and b.id2."""
+    x1.entry(id1), x2.entry(id2)  # a missing curve is named by its own id
+    ledger = tuple(
+        (p + i, replace(e, crossings=frozenset(p + c for c in e.crossings)))
+        for p, x in (("a.", x1), ("b.", x2))
+        for i, e in x.ledger
     )
-    return Surface(
-        x1.chi + x2.chi - (1 - b1),
-        x1.k2 + x2.k2 + 4 * kc,
-        x1.c2 + x2.c2 + 2 * kc,
-        tuple(ledger),
-    )
+    union = Surface(x1.chi + x2.chi, x1.k2 + x2.k2, x1.c2 + x2.c2, ledger)
+    return self_sum(union, "a." + id1, "b." + id2)
 
 
 def self_sum(x, ida, idb):
@@ -242,42 +236,25 @@ def self_sum(x, ida, idb):
     if ida == idb:
         raise SurfaceError("self-sum needs two distinct curves")
     ea, eb = x.entry(ida), x.entry(idb)
-    if idb in ea.crossings or ida in eb.crossings:
+    if idb in ea.crossings:
         raise SurfaceError("self-summed curves must be disjoint")
-    _check_summable(ea, eb)
-    b1 = ea.curve.b1
+    if not ea.curve.isomorphic(eb.curve):
+        raise SurfaceError("summed curves must be isomorphic")
+    if ea.self_intersection != -eb.self_intersection:
+        raise SurfaceError(
+            "summed curves need opposite self-intersections "
+            f"({ea.self_intersection} vs {eb.self_intersection})"
+        )
     kc = ea.curve.k_degree
-    na = {i for i, e in x.ledger if ida in e.crossings and i not in (ida, idb)}
-    nb = {i for i, e in x.ledger if idb in e.crossings and i not in (ida, idb)}
-    out = []
-    for i, e in x.ledger:
-        if i in (ida, idb):
-            continue
-        crossings = set()
-        for c in e.crossings:
-            if c == ida:
-                crossings |= nb
-            elif c == idb:
-                crossings |= na
-            else:
-                crossings.add(c)
-        out.append((i, replace(e, crossings=frozenset(crossings))))
-    return Surface(
-        x.chi - (1 - b1),
-        x.k2 + 4 * kc,
-        x.c2 + 2 * kc,
-        tuple(out),
-    )
+    ledger = _splice(x, {ida: eb.crossings, idb: ea.crossings})
+    return Surface(x.chi - (1 - ea.curve.b1), x.k2 + 4 * kc, x.c2 + 2 * kc, ledger)
 
 
-def modify(x, curve, self_intersection, new_id, locally_degree_1=True):
-    """A modification of the surface along a curve.  Degree-1 modifications
-    leave (chi, K^2, c2) unchanged; the centre curve joins the ledger."""
-    if not locally_degree_1:
-        raise SurfaceError("only locally degree-1 modifications are supported")
-    for i, _ in x.ledger:
-        if i == new_id:
-            raise SurfaceError(f"ledger id {new_id!r} already in use")
+def modify(x, curve, self_intersection, new_id):
+    """A locally degree-1 modification of the surface along a curve: it
+    leaves (chi, K^2, c2) unchanged, and the centre curve joins the ledger."""
+    if any(i == new_id for i, _ in x.ledger):
+        raise SurfaceError(f"ledger id {new_id!r} already in use")
     ledger = x.ledger + ((new_id, LedgerEntry(curve, self_intersection)),)
     return Surface(x.chi, x.k2, x.c2, ledger)
 
@@ -292,15 +269,7 @@ def contract(x, curve_id):
         raise SurfaceError("only rational curves can be contracted")
     if e.self_intersection != -1:
         raise SurfaceError("contraction needs self-intersection -1")
-    met = {i for i, f in x.ledger if curve_id in f.crossings}
-    ledger = []
-    for i, f in x.ledger:
-        if i in met:
-            f = replace(f, self_intersection=f.self_intersection + 1,
-                        crossings=(f.crossings | met) - {i, curve_id})
-        if i != curve_id:
-            ledger.append((i, f))
-    return Surface(x.chi, x.k2 + 1, x.c2 - 1, tuple(ledger))
+    return Surface(x.chi, x.k2 + 1, x.c2 - 1, _splice(x, {curve_id: e.crossings}, gain=1))
 
 
 # -- checks ------------------------------------------------------------------
@@ -338,8 +307,6 @@ def adjunction_check(x, curve_id):
     b1 = (K_X . C + C^2)/2 + 1 is verified.
     """
     e = x.entry(curve_id)
-    if not e.snc:
-        raise SurfaceError("adjunction check needs an snc boundary curve")
     c = e.curve
     ko_c = c.k_degree + c.leaf_count
     d_c = c.leaf_count
@@ -430,9 +397,10 @@ def parse_surface(obj, where="", path=""):
             integer(field(body, "self_intersection", node, SurfaceError),
                     f"{node}.self_intersection", SurfaceError),
             name("id"),
-            boolean(body.get("locally_degree_1", True), f"{node}.locally_degree_1",
-                    SurfaceError),
         )
+        if not boolean(body.get("locally_degree_1", True), f"{node}.locally_degree_1",
+                       SurfaceError):
+            raise SurfaceError(f"{node}: only locally degree-1 modifications are supported")
     else:
         build, args = contract, (sub[0], name("curve"))
     try:

@@ -66,7 +66,7 @@ def test_03_conic_degree(u34):
 def test_04_petersen_fan(braid):
     plane = bg.build_fan(braid)
     assert bg.counts(plane) == (10, 15)
-    labels, edges = bg.link_graph(plane)
+    edges = [(c.i, c.j) for c in plane.cones]
     assert nx.is_isomorphic(nx.Graph(edges), nx.petersen_graph())
     # c2 multiplicity two ways: local fan count and chi-bar(1)
     assert fi.c2_point_multiplicity_local(braid) == 2

@@ -1,6 +1,7 @@
 """Coarse fan structure: rays, cones, pruning, classification, and
 reconstruction of the matroid from the fan."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropsurf import bergman as bg
+from tropsurf import fan_cycles as fc
+from tropsurf import fan_intersect as fi
 from tropsurf import matroid as mt
 from tropsurf.errors import FanError
 from tropsurf.intlinalg import solve
@@ -112,8 +115,7 @@ class TestBuildFan:
         assert bg.counts(plane) == (10, 15)
 
     def test_braid_link_is_petersen(self, braid):
-        labels, edges = bg.link_graph(bg.build_fan(braid))
-        g = nx.Graph(edges)
+        g = nx.Graph([(c.i, c.j) for c in bg.build_fan(braid).cones])
         assert nx.is_isomorphic(g, nx.petersen_graph())
 
     def test_u33_degenerates_to_plane(self, u33):
@@ -125,8 +127,8 @@ class TestBuildFan:
     def test_line_times_r_is_a_multigraph(self):
         m = mt.direct_sum(mt.uniform(2, 4), mt.uniform(1, 1))
         plane = bg.build_fan(m)
-        labels, edges = bg.link_graph(plane)
-        assert len(labels) == 2
+        edges = [(c.i, c.j) for c in plane.cones]
+        assert len(plane.rays) == 2
         assert len(edges) == 4
         assert len(set(edges)) == 1
         # opposite rays: the support contains a line
@@ -135,8 +137,7 @@ class TestBuildFan:
 
     def test_bipartite_cone(self):
         plane = bg.build_fan(mt.parallel_connection(2, 3))
-        labels, edges = bg.link_graph(plane)
-        g = nx.Graph(edges)
+        g = nx.Graph([(c.i, c.j) for c in plane.cones])
         assert nx.is_isomorphic(g, nx.complete_bipartite_graph(3, 4))
 
     def test_sigma_u34(self, u34):
@@ -210,6 +211,35 @@ class TestReconstruction:
     @given(matroids)
     def test_roundtrip_random(self, m):
         assert mt.is_isomorphic(self.roundtrip(m), m)
+
+
+def random_unimodular_basis(rng, n):
+    """A basis of Z^n from a seeded product of elementary integer matrices."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        (i, j), c = rng.sample(range(n), 2), rng.choice((-1, 1))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    return bg.Basis(tuple(tuple(row) for row in a))
+
+
+class TestOtherBases:
+    def test_every_small_matroid_in_a_random_basis(self):
+        # every layer that takes a basis agrees with its standard-basis or
+        # closed-form counterpart
+        rng = random.Random(5)
+        checked = 0
+        for n in range(3, 7):
+            for m in mt.enumerate_simple_rank3(n):
+                basis = random_unimodular_basis(rng, n - 1)
+                plane = bg.build_fan(m, basis)
+                rays = [r.direction for r in plane.rays]
+                cones = [(c.i, c.j) for c in plane.cones]
+                assert bg.reconstruct_matroid(rays, cones, n - 1, basis) == m
+                assert fi.k_squared_local(m, basis) == fi.k_squared(m)
+                assert fi.c2_point_multiplicity_local(m, basis) == fi.c2_point_multiplicity(m)
+                assert fc.degree(fc.canonical_cycle(plane), basis) == n - 3
+                checked += 1
+        assert checked == 389
 
 
 class TestSaturatedTriangle:

@@ -754,6 +754,20 @@ class TestWorkBoundedByInput:
                        f"(a matroid on at most {bound} elements), got 3999\n")
         assert bases == []
 
+    def test_cycle_past_the_element_bound(self, capsys, files, bases):
+        # two rays in R^4000: a balanced cycle whose degree would need a
+        # 4000 x 4000 integer inverse
+        cycle = files("cycle.json", {"dim": 4000, "rays": [
+            {"dir": [1] + [0] * 3999, "weight": 1}, {"dir": [-1] + [0] * 3999, "weight": 1}]})
+        start = time.monotonic()
+        rc, out, err = run(capsys, ["cycle", "degree", "--cycle", cycle])
+        assert time.monotonic() - start < 1.0
+        assert rc == 1 and out == ""
+        bound = cli.MAX_ELEMENTS
+        assert err == (f"error: {cycle}: dim must be at most {bound - 1} "
+                       f"(a matroid on at most {bound} elements), got 4000\n")
+        assert bases == []
+
     def test_cycle_degree_without_rays(self, capsys, files, bases):
         cycle = files("cycle.json", {"dim": 80, "rays": []})
         rc, out, _ = run(capsys, ["cycle", "degree", "--json", "--cycle", cycle])

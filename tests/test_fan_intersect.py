@@ -27,7 +27,7 @@ class TestCorners:
             (0, 3): 2,
             (1, 2): 2,
         }
-        assert fi.vertex_multiplicity(plane, CONIC, CONIC) == -1
+        assert fi.bezout(plane, CONIC, CONIC)["vertex"] == -1
         rep = fi.bezout(plane, CONIC, CONIC)
         assert rep["total"] == 4
 
@@ -35,7 +35,7 @@ class TestCorners:
         plane = bg.build_fan(u34)
         line = fc.standard_line(plane.basis)
         assert fi.corner_multiplicities(plane, CONIC, line) == {}
-        assert fi.vertex_multiplicity(plane, CONIC, line) == 2
+        assert fi.bezout(plane, CONIC, line)["vertex"] == 2
 
     def test_point_difference_cycle(self, braid):
         # C = u_I - u_0 - u_1 - u_3 at the triple point I = {0,1,3} has
@@ -48,7 +48,7 @@ class TestCorners:
         assert fc.degree(c, plane.basis) == 0
         corners = fi.corner_multiplicities(plane, c, c)
         assert corners == {flat: 1}
-        assert fi.vertex_multiplicity(plane, c, c) == -1
+        assert fi.bezout(plane, c, c)["vertex"] == -1
 
     def test_big_point_needs_two_faces(self, braid):
         plane = bg.build_fan(braid)

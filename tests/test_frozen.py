@@ -96,7 +96,7 @@ VALUES = {
         lambda: sc.LedgerEntry(sc.CurveDescriptor(0, (1, 1)), -1),
         "self_intersection",
         "LedgerEntry(curve=CurveDescriptor(b1=0, valencies=(1, 1)), "
-        "self_intersection=-1, snc=True, crossings=frozenset())",
+        "self_intersection=-1, crossings=frozenset())",
     ),
     "Surface": (lambda: sc.Surface(1, 9, 3), "k2", "Surface(chi=1, k2=9, c2=3, ledger=())"),
     "Fan2D": (

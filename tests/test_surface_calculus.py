@@ -153,6 +153,41 @@ class TestSum:
         assert "b.D2" in s.entry("a.D0").crossings
 
 
+class TestLedger:
+    def test_self_sum_never_makes_a_curve_cross_itself(self):
+        # D1 met both glued curves, so it now crosses D0's other neighbour
+        x = sc.self_sum(sc.toric_surface(sc.hirzebruch_fan(0)), "D0", "D2")
+        assert x.entry("D1").crossings == frozenset({"D3"})
+        assert x.entry("D3").crossings == frozenset({"D1"})
+
+    def test_sum_never_crosses_a_glued_curve(self):
+        x = sc.self_sum(sc.toric_surface(sc.hirzebruch_fan(0)), "D0", "D2")
+        y = sc.tropical_sum(x, "D1", sc.toric_surface(sc.hirzebruch_fan(0)), "D1")
+        assert y.entry("b.D0").crossings == frozenset({"a.D3", "b.D3"})
+        assert {i for i, _ in y.ledger} == {"a.D3", "b.D0", "b.D2", "b.D3"}
+
+    @pytest.mark.parametrize(
+        "crossings_of_a, crossings_of_b",
+        [({"B", "C"}, {"A"}), ({"A", "B"}, {"A"}), ({"B"}, set())],
+        ids=["dangling", "self", "one-sided"],
+    )
+    def test_unsound_ledger_unrepresentable(self, crossings_of_a, crossings_of_b):
+        ledger = (
+            ("A", sc.LedgerEntry(sc.SEGMENT, 0, frozenset(crossings_of_a))),
+            ("B", sc.LedgerEntry(sc.SEGMENT, 0, frozenset(crossings_of_b))),
+        )
+        with pytest.raises(SurfaceError, match="boundary curve 'A'"):
+            sc.Surface(1, 9, 3, ledger)
+
+    def test_every_random_tree_builds(self):
+        # every node re-checks its ledger, so building the tree is the test
+        rng = random.Random(11)
+        for _ in range(300):
+            x = random_surface(rng, rng.randint(1, 8))
+            ids = {i for i, _ in x.ledger}
+            assert all(e.crossings <= ids - {i} for i, e in x.ledger)
+
+
 class TestContract:
     def test_blowdown(self):
         bl = sc.toric_surface(sc.Fan2D(((1, 0), (1, 1), (0, 1), (-1, -1))))
