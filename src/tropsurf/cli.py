@@ -167,8 +167,13 @@ def cmd_matroid_info(args):
     lines = [
         f"matroid on {m.n} elements, rank {m.rank}",
         f"simple: {'yes' if payload['simple'] else 'no'}",
-        "rank-2 flats: "
-        + " ".join("{" + ",".join(map(str, sorted(f))) + "}" for f in m.flats(2)),
+    ]
+    if m.rank >= 2:
+        lines.append(
+            "rank-2 flats: "
+            + " ".join("{" + ",".join(map(str, sorted(f))) + "}" for f in m.flats(2))
+        )
+    lines += [
         f"characteristic polynomial: {payload['char_poly']}",
         f"reduced: {payload['reduced_char_poly']}",
         f"chi-bar(1): {payload['chi_bar_at_1']}",

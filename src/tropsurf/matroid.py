@@ -22,21 +22,57 @@ def _bits(n):
     return {i: 1 << i for i in range(n)}.__getitem__
 
 
+_FIXED = {}
+
+
+def _fixed(n):
+    """``(bit, levels, known)`` for range(n): ``bit`` is ``_bits(n)``, ``levels``
+    the rank-0, rank-1 and top levels of every simple rank-3 matroid on range(n),
+    and ``known`` maps the id of each of those tuples to its flats' bitmasks.
+
+    One shared instance per n.  The levels are built in canonical order from
+    range(n), so a level that *is* one of them needs no bitmask, order or
+    ground-set check of its own."""
+    fixed = _FIXED.get(n)
+    if fixed is None:
+        bit = _bits(n)
+        levels = (frozenset(),), tuple(frozenset((i,)) for i in range(n)), (frozenset(range(n)),)
+        known = {id(level): [sum(map(bit, f)) for f in level] for level in levels}
+        fixed = _FIXED[n] = bit, levels, known
+    return fixed
+
+
+def _masks(level, bit, ground):
+    """The bitmasks of a level's flats; None for a flat outside the ground set."""
+    return [sum(map(bit, f)) if f <= ground else None for f in level]
+
+
+def _in_order(masks):
+    """Whether flats with these bitmasks are listed in canonical order: by size,
+    and of two flats of equal size, the earlier holds the lowest element of a ^ b
+    (so it is the earlier by sorted elements)."""
+    for a, b in zip(masks, masks[1:]):
+        size_a, size_b = a.bit_count(), b.bit_count()
+        if size_a > size_b or size_a == size_b and not a & (a ^ b) & -(a ^ b):
+            return False
+    return True
+
+
 def _canon(flats):
-    # by size, then by sorted elements: sort by elements, then stably by size.
-    # A tuple already in this order is kept, so a level that many matroids
-    # share is stored once
-    canon = tuple(sorted(sorted(flats, key=sorted), key=len))
-    return flats if canon == flats else canon
+    """A level out of canonical order, or with a flat outside the ground set, in
+    canonical order: by size, then by sorted elements (sort by elements, then
+    stably by size).  A level already in order is never passed here."""
+    return tuple(sorted(sorted(flats, key=sorted), key=len))
 
 
 def _meet_in_at_most_one(n, flats, masks):
     """``near``, where near[i] is the union of the flats on range(n) through i,
     or None when two of the flats share two elements."""
-    near = dict.fromkeys(range(n), 0)
+    near = [0] * n
     for f, m in zip(flats, masks):
         for i in f:
-            if (near[i] & m).bit_count() > 1:
+            x = near[i] & m
+            if x & (x - 1):
                 return None
             near[i] |= m
     return near
@@ -78,10 +114,28 @@ class Matroid:
     flats_by_rank: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "flats_by_rank", tuple(_canon(level) for level in self.flats_by_rank)
-        )
-        self._validate()
+        if self.n < 1:
+            raise MatroidError("ground set must be nonempty")
+        # one pass computes each flat's bitmask, and decides on the bitmasks whether
+        # the level is in canonical order.  A level in order is kept as given, so a
+        # level that many matroids share is stored once; only one out of order is
+        # sorted.  A level that is one of the shared fixed levels takes its stored
+        # bitmasks
+        bit, fixed, known = _fixed(self.n)
+        ground = fixed[2][0]
+        levels, masks = [], []
+        for level in self.flats_by_rank:
+            level = tuple(level)
+            lm = known.get(id(level))
+            if lm is None:
+                lm = _masks(level, bit, ground)
+                if None in lm or not _in_order(lm):
+                    level = _canon(level)
+                    lm = _masks(level, bit, ground)
+            levels.append(level)
+            masks.append(lm)
+        object.__setattr__(self, "flats_by_rank", tuple(levels))
+        self._validate(masks)
 
     # -- structure ---------------------------------------------------------
 
@@ -96,32 +150,32 @@ class Matroid:
         for level in self.flats_by_rank:
             yield from level
 
-    def _validate(self):
+    def _validate(self, masks):
+        """The axioms, on ``masks[r]``, the bitmasks of the rank-r flats."""
         n, levels = self.n, self.flats_by_rank
-        if n < 1:
-            raise MatroidError("ground set must be nonempty")
-        if not levels or levels[0] != (frozenset(),):
+        bit, (bottom, points, top), known = _fixed(n)
+        if not levels or levels[0] != bottom:
             raise MatroidError("unique rank-0 flat must be the empty set (loopless)")
-        ground = frozenset(range(n))
-        if levels[-1] != (ground,):
+        if levels[-1] != top:
             raise MatroidError("unique top flat must be the whole ground set")
-        bit, masks, seen = _bits(n), [], set()  # the axioms below run on bitmasks
-        for r, level in enumerate(levels):
-            if not level:
-                raise MatroidError(f"no flats of rank {r}")
-            masks.append([])
-            for f in level:
-                if not f <= ground:
-                    raise MatroidError(f"flat {sorted(f)} outside ground set")
-                m = sum(map(bit, f))
-                if m in seen:
-                    raise MatroidError(f"flat {sorted(f)} listed twice")
-                seen.add(m)
-                masks[r].append(m)
+        listed = [m for lm in masks for m in lm]
+        seen = set(listed)
+        if len(seen) < len(listed) or None in seen or not all(levels):
+            # name the first empty level, or flat outside the ground set or listed twice
+            seen = set()
+            for r, (level, lm) in enumerate(zip(levels, masks)):
+                if not level:
+                    raise MatroidError(f"no flats of rank {r}")
+                for f, m in zip(level, lm):
+                    if m is None:
+                        raise MatroidError(f"flat {sorted(f)} outside ground set")
+                    if m in seen:
+                        raise MatroidError(f"flat {sorted(f)} listed twice")
+                    seen.add(m)
         # closure under intersection: the bottom and top flats meet any flat in a flat.
         # When every element is a rank-1 flat of a rank-3 lattice, two flats below the
         # top meet in a flat if no two rank-2 flats share two elements; else test pairs
-        simple3 = len(levels) == 4 and masks[1] == [1 << i for i in range(n)]
+        simple3 = len(levels) == 4 and masks[1] == known[id(points)]
         near = _meet_in_at_most_one(n, levels[2], masks[2]) if simple3 else None
         if near is None:
             pairs = combinations([m for row in masks[1:-1] for m in row], 2)
@@ -139,7 +193,7 @@ class Matroid:
         # share two elements) and so partition the rest, and every rank-2 flat has
         # two or more elements (an empty or one-element one is listed twice), so it
         # lies above a point.  No covers or ranks check can fail, so none is run
-        if near is not None and all(m == full for m in near.values()):
+        if near is not None and near.count(full) == n:
             return
         _covers_and_ranks(levels, masks, full)
 
@@ -199,29 +253,26 @@ def from_lines(n, lines):
         if f == ground:
             raise MatroidError("a line equal to the ground set drops the rank")
         big.append(f)
-    bit = _bits(n)
+    bit = _fixed(n)[0]
     masks = [sum(map(bit, f)) for f in big]
     for (a, am), (b, bm) in combinations(zip(big, masks), 2):
         if (am & bm).bit_count() > 1:
             raise MatroidError(f"lines {sorted(a)} and {sorted(b)} share two elements")
-    return _rank3(n, big, masks, frozenset, _fixed_levels(n, frozenset))
+    return _rank3(n, big, masks, frozenset)
 
 
-def _rank3(n, lines, masks, flat, fixed):
-    """``from_lines`` on checked lines and their bitmasks; ``flat`` makes the
-    frozenset of a tuple of elements, and ``fixed`` is ``_fixed_levels(n, flat)``."""
+def _rank3(n, lines, masks, pair):
+    """``from_lines`` on checked lines and their bitmasks; ``pair`` makes the
+    frozenset of a pair of elements.  The rank-2 level is built in canonical
+    order when the lines are listed by sorted elements and have three or more:
+    the uncovered pairs in lexicographic order, then the lines by size."""
     near = [0] * n  # near[i]: the elements on a common line with i
     for f, m in zip(lines, masks):
         for i in f:
             near[i] |= m
-    pairs = [flat(p) for p in combinations(range(n), 2) if not near[p[0]] >> p[1] & 1]
-    bottom, points, top = fixed
-    return Matroid(n, (bottom, points, tuple(lines + pairs), top))
-
-
-def _fixed_levels(n, flat):
-    """The rank-0, rank-1 and top levels of every simple rank-3 matroid on range(n)."""
-    return (frozenset(),), tuple(flat((i,)) for i in range(n)), (flat(tuple(range(n))),)
+    pairs = [pair(p) for p in combinations(range(n), 2) if not near[p[0]] >> p[1] & 1]
+    bottom, points, top = _fixed(n)[1]
+    return Matroid(n, (bottom, points, tuple(pairs + sorted(lines, key=len)), top))
 
 
 def direct_sum(m1, m2):
@@ -417,24 +468,24 @@ def enumerate_simple_rank3(n):
     Generates every set of subsets of size >= 3 (never the full ground set)
     that pairwise meet in at most one element, i.e. every labeled rank-3
     simple matroid, including U_{3,n} for the empty family.  The matroids
-    share their immutable rank-0, rank-1 and top levels.
+    share their immutable rank-0, rank-1 and top levels with each other and
+    with ``from_lines``, and their two-element flats with each other.  Each
+    rank-2 level is built in canonical order, so no level is sorted.
     """
     if n < 3:
         raise MatroidError("rank 3 needs at least 3 elements")
     cands = [frozenset(c) for k in range(3, n) for c in combinations(range(n), k)]
     cands.sort(key=sorted)
-    bit = _bits(n)
+    bit = _fixed(n)[0]
     masks = [sum(map(bit, f)) for f in cands]
     # bit j of clash[i]: candidates i and j share two elements
     clash = [sum(1 << j for j, b in enumerate(masks) if (a & b).bit_count() > 1) for a in masks]
-    # one frozenset per point, pair and the ground set, and one tuple per fixed
-    # level, shared by all matroids
-    flat = {c: frozenset(c) for k in (1, 2, n) for c in combinations(range(n), k)}.__getitem__
-    fixed = _fixed_levels(n, flat)
+    # one frozenset per pair, shared by all matroids of this enumeration
+    pair = {p: frozenset(p) for p in combinations(range(n), 2)}.__getitem__
     out = []
 
     def bt(start, fam, fam_masks, banned):
-        out.append(_rank3(n, fam, fam_masks, flat, fixed))
+        out.append(_rank3(n, fam, fam_masks, pair))
         for i in range(start, len(cands)):
             if not banned >> i & 1:
                 bt(i + 1, fam + [cands[i]], fam_masks + [masks[i]], banned | clash[i])

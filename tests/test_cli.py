@@ -110,6 +110,29 @@ class TestMatroidInfo:
         assert "reduced: [1, -5, 6]\nchi-bar(1): 2\n" in out
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "obj, simple",
+        [({"n": 1, "flats": [[[]], [[0]]]}, "yes"),
+         ({"n": 3, "flats": [[[]], [[0, 1, 2]]]}, "no")],
+        ids=["point", "three-parallel"],
+    )
+    def test_rank_one_lists_no_rank_2_flats(self, capsys, files, obj, simple):
+        path = files("rank1.json", obj)
+        rc, out, _ = run(capsys, ["matroid", "info", "--matroid", path])
+        assert rc == 0
+        assert out == (
+            f"matroid on {obj['n']} elements, rank 1\n"
+            f"simple: {simple}\n"
+            "characteristic polynomial: [1, -1]\n"
+            "reduced: [1]\n"
+            "chi-bar(1): 1\n"
+        )
+        rc, out, _ = run(capsys, ["matroid", "info", "--json", "--matroid", path])
+        assert rc == 0
+        payload = json.loads(out)
+        assert (payload["rank"], payload["flats"]) == (1, obj["flats"])
+        assert payload["char_poly"] == [1, -1]
+
     def test_forty_points_in_general_position(self, capsys, files):
         # the saturated-triangle search is cubic in n, not sextic
         path = files("u3_40.json", {"n": 40, "lines": []})
@@ -892,6 +915,8 @@ TORUS, KLEIN = str(data_path("torus.json")), str(data_path("klein_bottle.json"))
 FUZZ_CASES = [
     (["matroid", "info", "--matroid", None],
      {"n": 6, "lines": [[0, 1, 3], [1, 2, 4], [0, 2, 5]]}),
+    (["matroid", "info", "--matroid", None], {"n": 1, "flats": [[[]], [[0]]]}),
+    (["matroid", "info", "--json", "--matroid", None], {"n": 3, "flats": [[[]], [[0, 1, 2]]]}),
     (["fan", "build", "--matroid", None],
      {"n": 4, "flats": [[[]], [[0], [1], [2], [3]], [[0, 1, 2], [0, 3], [1, 3], [2, 3]],
                         [[0, 1, 2, 3]]]}),

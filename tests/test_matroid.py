@@ -88,7 +88,11 @@ def corrupt(m, rng):
         lines = [f for i, f in enumerate(lines) if i not in (j, k)] + [lines[j] | lines[k]]
     elif how == "add":
         lines.append(frozenset(rng.sample(range(m.n), rng.randrange(2, m.n))))
-    levels = m.flats_by_rank[:2] + (tuple(lines),) + m.flats_by_rank[3:]
+    return canonical(m.flats_by_rank[:2] + (tuple(lines),) + m.flats_by_rank[3:])
+
+
+def canonical(levels):
+    """Each level by size, then by sorted elements."""
     return tuple(tuple(sorted(sorted(lv, key=sorted), key=len)) for lv in levels)
 
 
@@ -199,6 +203,40 @@ class TestConstruction:
         # accepted, and rejected by closure, by covers and as listed twice
         assert set(outcomes) == {None, "flats", "covers", "flat"}, outcomes
 
+    def test_shared_fixed_levels_agree_with_the_axioms_on_corrupted_lattices(
+        self, all_small_matroids
+    ):
+        # half the cases keep the matroid's own rank-0, rank-1 and top tuples, which
+        # are accepted with their stored bitmasks; the rank-2 level is given in
+        # canonical order or shuffled
+        rng = random.Random(29)
+        outcomes = Counter()
+        for k in range(6000):
+            m = rng.choice(all_small_matroids)
+            levels = corrupt(m, rng)
+            expected = reference_validate(m.n, levels)
+            if k % 2:
+                levels = m.flats_by_rank[:2] + levels[2:3] + m.flats_by_rank[3:]
+            if rng.random() < 0.5:
+                levels = levels[:2] + (tuple(rng.sample(levels[2], len(levels[2]))),) + levels[3:]
+            try:
+                assert mt.Matroid(m.n, levels).flats_by_rank == canonical(levels)
+                got = None
+            except MatroidError as exc:
+                got = str(exc)
+            assert got == expected, levels
+            outcomes[k % 2, expected and expected.split(" ", 1)[0]] += 1
+        assert set(outcomes) == {
+            (shared, kind) for shared in (0, 1) for kind in (None, "flats", "covers", "flat")
+        }, outcomes
+
+    def test_fresh_levels_build_the_enumerated_matroids(self, all_small_matroids):
+        for m in all_small_matroids:
+            fresh = tuple(tuple(frozenset(sorted(f)) for f in level) for level in m.flats_by_rank)
+            assert fresh[1][0] is not m.flats(1)[0]
+            got = mt.Matroid(m.n, fresh)
+            assert got == m and got.flats_by_rank == m.flats_by_rank
+
     def test_from_lines_on_400_points_in_general_position(self):
         # validation is one pass over the rank-2 flats: no covers scan per point
         start = time.monotonic()
@@ -224,6 +262,25 @@ class TestConstruction:
         with pytest.raises(MatroidError, match=r"^covers of \[0\] do not partition the rest$"):
             mt.Matroid(4, dropped)
         assert len(calls) == 1
+
+    def test_levels_in_canonical_order_are_not_sorted(self, monkeypatch, braid):
+        calls = []
+
+        def counted(flats):
+            calls.append(flats)
+            return canon(flats)
+
+        canon = mt._canon
+        monkeypatch.setattr(mt, "_canon", counted)
+        for n in range(3, 8):
+            mt.enumerate_simple_rank3(n)
+        mt.from_lines(400, [])
+        assert calls == []
+        levels = braid.flats_by_rank
+        reversed2 = levels[:2] + (levels[2][::-1],) + levels[3:]
+        assert mt.Matroid(6, reversed2).flats_by_rank == levels
+        assert calls == [levels[2][::-1]]
+        assert mt.enumerate_simple_rank3(5)[0].flats(1) is mt.from_lines(5, []).flats(1)
 
     def test_canonical_levels_are_kept_as_given(self, braid):
         levels = braid.flats_by_rank
@@ -354,6 +411,14 @@ class TestEnumeration:
         assert len(levels) == 389
         assert hashlib.sha256(json.dumps(levels).encode()).hexdigest() == (
             "f1fd3fcf14837f0f4e9d5b43c8f77ecea15c90cb10a8c7bd0771eb7021eb3cb2"
+        )
+        levels = [
+            [[sorted(f) for f in level] for level in m.flats_by_rank]
+            for m in all_small_matroids if m.n == 7
+        ]
+        assert len(levels) == 8389
+        assert hashlib.sha256(json.dumps(levels).encode()).hexdigest() == (
+            "1629bcd850085fff55cf64232b770edaeb4dd5a565ad025d4abf17830387dd1f"
         )
         for m in all_small_matroids:
             assert set(vars(m)) == {"n", "flats_by_rank"}
