@@ -134,6 +134,15 @@ class FanPlane:
 
 
 def _in_sector(v, d1, d2):
+    """Is v a nonnegative combination a d1 + b d2?
+
+    A coordinate where v is nonzero and d1 and d2 both vanish puts v
+    outside the span of d1 and d2, so such a sector is ruled out on the
+    integers; every other sector goes to the exact solve.
+    """
+    for x, a, b in zip(v, d1, d2):
+        if x and not a and not b:
+            return False
     n = len(v)
     cols = [[d1[k], d2[k]] for k in range(n)]
     ab = solve(cols, list(v))

@@ -11,8 +11,9 @@
 
 Every subcommand accepts --json for machine-readable output and --out to
 write the report to a file.  Reports are deterministic.  Exit codes:
-0 success, 1 domain error, 2 usage error.  Set TROPSURF_COLOR=0 to
-disable ANSI colors (only pass/fail markers are ever colored).
+0 success, 1 domain error (also an unwritable --out or a closed stdout),
+2 usage error.  Set TROPSURF_COLOR=0 to disable ANSI colors (only
+pass/fail markers are ever colored).
 """
 
 from __future__ import annotations
@@ -139,8 +140,11 @@ def _emit(args, payload, text_lines):
     else:
         out = "\n".join(text_lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise TropsurfError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(out)
 
@@ -451,6 +455,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Python's SIGPIPE recipe: point stdout at
+        # devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except TropsurfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

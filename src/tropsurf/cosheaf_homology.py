@@ -31,6 +31,18 @@ from .intlinalg import (
 )
 
 
+# The largest F_1 rank a cell may have.  Coefficients in degree p have rank
+# comb(r, p), so a 64-byte file naming r = 26 asks for millions of boundary
+# rows (at r = 30 the rows alone exhaust memory); a larger rank is refused
+# before any matrix is built.  The bound is measured (one process on a
+# 2-vCPU Xeon VM): with one edge on one vertex and a dense iota1,
+# `homology diamond` answers in 0.15 s at rank 5 even with 31-digit
+# entries, but takes 6 s at rank 6 with entries in [-9, 9], nearly all of
+# it in the Smith reduction of the 20 x 20 middle exterior power.
+# The bundled complexes have rank at most 3.
+MAX_F1_RANK = 5
+
+
 @frozen
 class Cell:
     id: str
@@ -64,9 +76,11 @@ class CellComplex:
         for cell_id in dims:
             if cell_id not in ranks:
                 raise ComplexError(f"f1_rank: missing key {cell_id!r}")
-        for cell_id in ranks:
+        for cell_id, r in ranks.items():
             if cell_id not in dims:
                 raise ComplexError(f"f1_rank.{cell_id} must name a cell, got {cell_id!r}")
+            if r > MAX_F1_RANK:
+                raise ComplexError(f"f1_rank.{cell_id} must be at most {MAX_F1_RANK}, got {r}")
         for k, a in enumerate(self.attachments):
             at = f"incidences[{k}]"
             for key, cell_id in (("big", a.big), ("small", a.small)):

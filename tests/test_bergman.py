@@ -17,6 +17,7 @@ from tropsurf import matroid as mt
 from tropsurf.errors import FanError
 from tropsurf.intlinalg import solve
 
+from cycle_gen import generators
 from test_matroid import matroids
 
 
@@ -33,6 +34,23 @@ def unimodular_vectors(draw):
     if draw(st.booleans()):
         a[0] = [-x for x in a[0]]
     return [tuple(row) for row in a]
+
+
+@st.composite
+def sector_triples(draw):
+    """(v, d1, d2) in Z^n, 2 <= n <= 6, with small entries so that zero
+    coordinates are common; d1 or d2 may be zero, d2 may be a multiple of
+    d1, and v is often a small combination of d1 and d2 (either sign)."""
+    n = draw(st.integers(2, 6))
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    zero = st.just([0] * n)
+    d1 = draw(st.one_of(vec, zero))
+    multiple = st.integers(-2, 2).map(lambda c: [c * x for x in d1])
+    d2 = draw(st.one_of(vec, zero, multiple))
+    a, b = draw(st.integers(-2, 3)), draw(st.integers(-2, 3))
+    combination = st.just([a * x + b * y for x, y in zip(d1, d2)])
+    v = draw(st.one_of(vec, combination))
+    return tuple(v), tuple(d1), tuple(d2)
 
 
 def fraction_decompose(basis, v):
@@ -153,6 +171,28 @@ class TestBuildFan:
         assert plane.contains_direction((-2, -1, 0))
         assert plane.contains_direction((1, 1, 1))
         assert not plane.contains_direction((1, -1, 0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(sector_triples())
+    def test_in_sector_agrees_with_the_solve(self, triple):
+        v, d1, d2 = triple
+        ab = solve([[a, b] for a, b in zip(d1, d2)], list(v))
+        assert bg._in_sector(v, d1, d2) == (ab is not None and ab[0] >= 0 and ab[1] >= 0)
+
+    def test_support_check_spares_the_solve(self, library_matroids, monkeypatch):
+        # A sector whose two directions both vanish at a nonzero entry of v
+        # never reaches the solve; solving every sector takes 8,888 solves.
+        calls = []
+
+        def counting(rows, rhs):
+            calls.append(rows)
+            return solve(rows, rhs)
+
+        monkeypatch.setattr(bg, "solve", counting)
+        for m in library_matroids.values():
+            plane = bg.build_fan(m)
+            assert all(fc.lies_in(g, plane) for g in generators(plane))
+        assert len(calls) == 4454
 
     @settings(max_examples=30, deadline=None)
     @given(matroids)

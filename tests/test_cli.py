@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import errno
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import tropsurf
 from tropsurf import cli
-from tropsurf.cosheaf_homology import parse_complex
+from tropsurf.cosheaf_homology import MAX_F1_RANK, parse_complex
 
 from conftest import data_path, load_data
 
@@ -679,6 +680,32 @@ class TestErrors:
         assert out == ""
         assert json.loads(out_file.read_text())["rank"] == 3
 
+    @pytest.mark.parametrize("target, code", [("directory", errno.EISDIR),
+                                              ("missing-parent", errno.ENOENT)],
+                             ids=["directory", "missing-parent"])
+    def test_unwritable_out_exits_1(self, capsys, u34_file, tmp_path, target, code):
+        out_file = tmp_path if target == "directory" else tmp_path / "no" / "x.json"
+        rc, out, err = run(capsys, ["matroid", "info", "--out", str(out_file),
+                                    "--matroid", u34_file])
+        assert rc == 1 and out == ""
+        assert err == f"error: cannot write {out_file}: {os.strerror(code)}\n"
+
+    def test_closed_stdout_exits_1_without_a_traceback(self, u34_file):
+        src = str(Path(tropsurf.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "tropsurf.cli", "matroid", "info", "--json",
+                 "--matroid", u34_file],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 1
+        assert done.stderr == ""
+
 
 # the tropical line in R^4: balanced, one dimension more than U_{3,4}'s plane
 LINE4 = {
@@ -713,8 +740,9 @@ class TestCycleAndPlaneDimensions:
 
 
 class TestWorkBoundedByInput:
-    """A large dim with no rays is answered without building a basis, and
-    a matroid past MAX_ELEMENTS elements is refused before it is built."""
+    """A large dim with no rays is answered without building a basis, a
+    matroid past MAX_ELEMENTS elements is refused before it is built, and
+    a complex past MAX_F1_RANK before any boundary matrix is built."""
 
     @pytest.fixture
     def bases(self, monkeypatch):
@@ -790,6 +818,16 @@ class TestWorkBoundedByInput:
         assert err == (f"error: {cycle}: dim must be at most {bound - 1} "
                        f"(a matroid on at most {bound} elements), got 4000\n")
         assert bases == []
+
+    def test_complex_past_the_f1_rank_bound(self, capsys, files):
+        # comb(26, 13) boundary rows for one vertex, were it built
+        k = files("k.json", {"cells": [{"id": "a", "dim": 0}], "f1_rank": 26,
+                             "incidences": []})
+        start = time.monotonic()
+        rc, out, err = run(capsys, ["homology", "diamond", "--complex", k])
+        assert time.monotonic() - start < 5.0
+        assert rc == 1 and out == ""
+        assert err == f"error: {k}: f1_rank.a must be at most {MAX_F1_RANK}, got 26\n"
 
     def test_cycle_degree_without_rays(self, capsys, files, bases):
         cycle = files("cycle.json", {"dim": 80, "rays": []})
