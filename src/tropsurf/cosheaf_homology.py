@@ -35,12 +35,12 @@ from .intlinalg import (
 # comb(r, p), so a 64-byte file naming r = 26 asks for millions of boundary
 # rows (at r = 30 the rows alone exhaust memory); a larger rank is refused
 # before any matrix is built.  The bound is measured (one process on a
-# 2-vCPU Xeon VM): with one edge on one vertex and a dense iota1,
-# `homology diamond` answers in 0.15 s at rank 5 even with 31-digit
-# entries, but takes 6 s at rank 6 with entries in [-9, 9], nearly all of
-# it in the Smith reduction of the 20 x 20 middle exterior power.
+# 2-vCPU Xeon VM): with one edge on one vertex and a dense iota1 with
+# 31-digit entries, `homology diamond` answers in 0.18-0.20 s at rank 6,
+# but takes 1.4-2.1 s at rank 7, nearly all of it in the Smith reduction
+# of the 35 x 35 middle exterior power.
 # The bundled complexes have rank at most 3.
-MAX_F1_RANK = 5
+MAX_F1_RANK = 6
 
 
 @frozen

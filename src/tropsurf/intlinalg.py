@@ -1,20 +1,21 @@
 """Small exact linear algebra helpers over ZZ and QQ.
 
 Everything in this package works with tiny matrices (ambient dimensions
-are single digits, chain groups a few dozen).  Determinants stay in the
-integers by fraction-free (Bareiss) elimination and Smith reduction is
-textbook row/column reduction on Python ints, whose nonzero invariant
-factors also give the rank, and a unimodular inverse is integer row
-reduction; `solve` and `symmetric_signature` use Fraction Gaussian
-elimination, since their answers or intermediate pivots are rational.
-All arithmetic is exact.
+are single digits, chain groups a few dozen).  Integer row reduction is
+one routine, `_echelon`, which brings a matrix to Hermite normal form:
+`unimodular_inverse` runs it on [A | I], and `smith_invariants` alternates
+it on a matrix and its transpose (Kannan-Bachem), whose nonzero invariant
+factors also give the rank.  Determinants stay in the integers by
+fraction-free (Bareiss) elimination; `solve` and `symmetric_signature`
+use Fraction Gaussian elimination, since their answers or intermediate
+pivots are rational.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 
 def det(rows):
@@ -74,37 +75,52 @@ def solve(rows, rhs):
     return [a[i][n] for i in range(n)]
 
 
+def _echelon(a, width):
+    """Hermite normal form, by integer row operations, of the rows `a`
+    (reduced in place) on their first `width` columns, without zero rows.
+
+    Euclid's algorithm down each column leaves the gcd of its remaining
+    entries as the pivot, which is made positive and reduces the entries
+    above it into [0, pivot), so the finished rows stay small.
+    """
+    top = 0
+    for k in range(width):
+        while True:
+            live = [i for i in range(top, len(a)) if a[i][k]]
+            if len(live) < 2:
+                break
+            p = min(live, key=lambda i: abs(a[i][k]))
+            for i in live:
+                if i != p:
+                    q = a[i][k] // a[p][k]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[p])]
+        if not live:
+            continue
+        a[top], a[live[0]] = a[live[0]], a[top]
+        if a[top][k] < 0:
+            a[top] = [-x for x in a[top]]
+        for i in range(top):
+            q = a[i][k] // a[top][k]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[top])]
+        top += 1
+    return a[:top]
+
+
 def unimodular_inverse(rows):
     """Inverse of a square integer matrix of determinant +-1, or None when
     the determinant is anything else.
 
-    Integer row reduction of [A | I]: Euclid's algorithm down column k
-    leaves the gcd of its remaining entries as pivot, and det A is +-1 times
-    the product of the pivots, so A is unimodular exactly when every pivot
-    is +-1.  Clearing each column with a pivot of 1 stays integral.
+    The Hermite form of [A | I] on its first n columns is [H | U] with
+    U A = H.  det A is +-1 times the product of the pivots of H, so A is
+    unimodular exactly when all n pivots are 1; then H = I and U = A^-1.
     """
     n = len(rows)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    for k in range(n):
-        while True:
-            live = [i for i in range(k, n) if a[i][k]]
-            if not live:
-                return None
-            p = min(live, key=lambda i: abs(a[i][k]))
-            a[k], a[p] = a[p], a[k]
-            if len(live) == 1:
-                break
-            for i in range(k + 1, n):
-                q = a[i][k] // a[k][k]
-                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        if a[k][k] not in (1, -1):
-            return None
-        a[k] = [a[k][k] * x for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                q = a[i][k]
-                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-    return tuple(tuple(row[n:]) for row in a)
+    h = _echelon(a, n)
+    if len(h) < n or any(h[k][k] != 1 for k in range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in h)
 
 
 def primitive(vec):
@@ -120,72 +136,21 @@ def primitive(vec):
 def smith_invariants(rows):
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    Plain row/column reduction with a smallest-pivot heuristic; entries stay
-    Python ints so there is no overflow to worry about.
+    Kannan-Bachem: alternate the Hermite form of the matrix and of its
+    transpose until every row has one nonzero entry, then make the
+    diagonal a divisor chain by replacing pairs with their gcd and lcm.
     """
-    if not rows or not rows[0]:
-        return []
     a = [list(map(int, row)) for row in rows]
-    m, n = len(a), len(a[0])
-    invariants = []
-    top = 0
     while True:
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best[0]):
-                    best = (abs(a[i][j]), i, j)
-        if best is None:
+        a = _echelon(a, len(a[0]) if a else 0)
+        if all(sum(map(bool, row)) == 1 for row in a):
             break
-        _, pi, pj = best
-        a[top], a[pi] = a[pi], a[top]
-        for row in a:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            p = a[top][top]
-            dirty = False
-            for i in range(top + 1, m):
-                if a[i][top]:
-                    q = a[i][top] // p
-                    for j in range(top, n):
-                        a[i][j] -= q * a[top][j]
-                    if a[i][top]:
-                        a[top], a[i] = a[i], a[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(top + 1, n):
-                if a[top][j]:
-                    q = a[top][j] // p
-                    for i in range(top, m):
-                        a[i][j] -= q * a[i][top]
-                    if a[top][j]:
-                        for i in range(top, m):
-                            a[i][top], a[i][j] = a[i][j], a[i][top]
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        # pivot must divide the remaining block
-        p = abs(a[top][top])
-        offender = None
-        for i in range(top + 1, m):
-            for j in range(top + 1, n):
-                if a[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(top, n):
-                a[top][j] += a[offender][j]
-            continue
-        invariants.append(p)
-        top += 1
-        if top == min(m, n):
-            break
-    return invariants
+        a = [list(col) for col in zip(*a)]
+    d = [max(row) for row in a]  # each row's one nonzero entry, a positive pivot
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return d
 
 
 def exterior_power(rows, p, shape=None):

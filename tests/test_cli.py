@@ -6,6 +6,7 @@ import errno
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -741,8 +742,9 @@ class TestCycleAndPlaneDimensions:
 
 class TestWorkBoundedByInput:
     """A large dim with no rays is answered without building a basis, a
-    matroid past MAX_ELEMENTS elements is refused before it is built, and
-    a complex past MAX_F1_RANK before any boundary matrix is built."""
+    matroid past MAX_ELEMENTS elements is refused before it is built, a
+    complex past MAX_F1_RANK before any boundary matrix is built, and the
+    worst complex at MAX_F1_RANK is answered promptly."""
 
     @pytest.fixture
     def bases(self, monkeypatch):
@@ -828,6 +830,22 @@ class TestWorkBoundedByInput:
         assert time.monotonic() - start < 5.0
         assert rc == 1 and out == ""
         assert err == f"error: {k}: f1_rank.a must be at most {MAX_F1_RANK}, got 26\n"
+
+    def test_complex_at_the_f1_rank_bound(self, capsys, files):
+        # the worst accepted file: one edge on one vertex whose transport is
+        # dense with 31-digit entries, so every exterior power is dense too
+        rng = random.Random(0)
+        r = MAX_F1_RANK
+        assert r >= 6  # admits the vertices of fan planes of 7-element matroids
+        iota1 = [[rng.randint(-10**30, 10**30) for _ in range(r)] for _ in range(r)]
+        k = files("k.json", {"cells": [{"id": "v", "dim": 0}, {"id": "e", "dim": 1}],
+                             "f1_rank": r,
+                             "incidences": [{"big": "e", "small": "v", "sign": 1,
+                                             "iota1": iota1}]})
+        start = time.monotonic()
+        rc, out, err = run(capsys, ["homology", "diamond", "--complex", k])
+        assert time.monotonic() - start < 5.0
+        assert rc == 0 and err == ""
 
     def test_cycle_degree_without_rays(self, capsys, files, bases):
         cycle = files("cycle.json", {"dim": 80, "rays": []})

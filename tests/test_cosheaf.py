@@ -1,7 +1,9 @@
 """Cell complexes with transported lattice coefficients: homology
 diamonds, the (1,1) intersection pairing, and its signature."""
 
+import math
 import random
+import time
 
 import numpy
 import pytest
@@ -36,11 +38,18 @@ def random_matrix(rng, m, n, lo=-4, hi=4):
 
 
 class TestIntLinalg:
-    @settings(max_examples=50, deadline=None)
-    @given(st.randoms(use_true_random=False))
-    def test_smith_invariants_match_sympy(self, rng):
-        m, n = rng.randint(1, 5), rng.randint(1, 5)
-        a = random_matrix(rng, m, n)
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(["random", "product", "zero"]))
+    def test_smith_invariants_match_sympy(self, rng, kind):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        if kind == "random":
+            a = random_matrix(rng, m, n)
+        elif kind == "product":
+            # rank at most r, below min(m, n) when min(m, n) > 1
+            r = max(1, min(m, n) - rng.randint(1, 3))
+            a = il.matmul(random_matrix(rng, m, r), random_matrix(rng, r, n))
+        else:
+            a = [[0] * n for _ in range(m)]
         ours = il.smith_invariants(a)
         snf = smith_normal_form(sympy.Matrix(a))
         theirs = [abs(snf[i, i]) for i in range(min(m, n)) if snf[i, i] != 0]
@@ -51,6 +60,22 @@ class TestIntLinalg:
     def test_smith_divisibility(self):
         inv = il.smith_invariants([[2, 0], [0, 3]])
         assert inv == [1, 6]
+
+    @pytest.mark.parametrize("rows", [[], [[]], [[0, 0]]], ids=["no-rows", "no-columns", "zero"])
+    def test_smith_invariants_of_empty_shapes(self, rows):
+        assert il.smith_invariants(rows) == []
+
+    def test_smith_invariants_without_coefficient_growth(self):
+        # the middle exterior power of a dense 6 x 6 matrix: a pivot loop
+        # that never reduces the rest of its block takes over 10 s on it
+        rng = random.Random(2)
+        b = random_matrix(rng, 6, 6, -10**6, 10**6)
+        e = il.exterior_power(b, 3)
+        start = time.monotonic()
+        inv = il.smith_invariants(e)
+        assert time.monotonic() - start < 1.0
+        assert math.prod(inv) == abs(il.det(e))
+        assert inv[0] == math.gcd(*(x for row in e for x in row))
 
     @settings(max_examples=30, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(0, 2))

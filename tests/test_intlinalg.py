@@ -94,6 +94,7 @@ class TestUnimodularInverse:
         assert il.unimodular_inverse([[1, 2], [2, 4]]) is None
         assert il.unimodular_inverse([[0]]) is None
         assert il.unimodular_inverse([[0, 1], [1, 0]]) == ((0, 1), (1, 0))
+        assert il.unimodular_inverse([]) == ()
 
 
 class TestPrimitive:
