@@ -2,6 +2,9 @@
 """Exhaustively enumerate simple rank-3 matroids on small ground sets and
 cross-check the canonical self-intersection and vertex Chern number
 against their local fan formulas, plus the fan -> matroid roundtrip.
+The self-intersection is also checked against the vertex multiplicity of
+K_P . K_P in the fan plane, which subtracts the corner multiplicities
+that k_squared never computes.
 
 Usage:
     python scripts/exhaustive_cross_checks.py [--max-n 7] [--skip-roundtrip]
@@ -11,6 +14,7 @@ import argparse
 import time
 
 from tropsurf import bergman as bg
+from tropsurf import fan_cycles as fc
 from tropsurf import fan_intersect as fi
 from tropsurf import matroid as mt
 
@@ -30,8 +34,11 @@ def main():
         for m in ms:
             assert fi.k_squared(m) == fi.k_squared_local(m)
             assert fi.c2_point_multiplicity(m) == fi.c2_point_multiplicity_local(m)
+            plane = bg.build_fan(m)
+            if not plane.degenerate_plane:
+                kp = fc.canonical_cycle(plane)
+                assert fi.bezout(plane, kp, kp)["vertex"] == fi.k_squared(m)
             if not args.skip_roundtrip:
-                plane = bg.build_fan(m)
                 rec = bg.reconstruct_matroid(
                     [r.direction for r in plane.rays],
                     [(c.i, c.j) for c in plane.cones],

@@ -13,8 +13,7 @@ locally linear:
   u_b = -u_K - u_L and the two adjacent cones close up to a flat piece).
 
 Deleted rays are remembered inside each coarse cone as a path of fine
-directions, so membership tests and chart bookkeeping still resolve the
-fine structure.
+directions, so membership tests still resolve the fine structure.
 """
 
 from __future__ import annotations

@@ -361,13 +361,14 @@ def cmd_homology_pairing(args):
         for name, c in cycles.items()
     }
     names = sorted(cycles)
-    table = {
-        a: {
-            b: cosheaf_homology.intersection_pairing(cycles[a], cycles[b])
-            for b in names
-        }
-        for a in names
-    }
+
+    def pairing(a, b):
+        try:
+            return cosheaf_homology.intersection_pairing(cycles[a], cycles[b])
+        except ComplexError as exc:
+            raise ComplexError(f"{args.cycles}: cycles.{a} . cycles.{b}: {exc}") from None
+
+    table = {a: {b: pairing(a, b) for b in names} for a in names}
     sig = cosheaf_homology.signature_1_1([cycles[n] for n in names])
     payload = {"pairing": table, "signature": sig}
     width = max(len(n) for n in names)

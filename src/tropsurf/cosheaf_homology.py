@@ -18,14 +18,13 @@ those of the incoming boundary greater than 1 are the torsion.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from ._frozen import frozen
 from .errors import ComplexError, field, integer, integers, integral, items
 from .intlinalg import (
     exterior_power,
     matmul,
-    primitive,
     smith_invariants,
     symmetric_signature,
 )
@@ -339,47 +338,6 @@ def intersection_pairing(c1, c2):
             if s1.face == s2.face:
                 total += _segment_contribution(s1, s2)
     return total
-
-
-def cycle_map(weighted_segments):
-    """(1,1)-cycle of a weighted balanced polyhedral 1-cycle.
-
-    Input: (face, start, end, weight) tuples.  The coefficient of each
-    piece is its weight times the primitive tangent direction; pieces of
-    weight zero are dropped.  Balancing is checked at every point of a
-    chart where at least two pieces meet; endpoints met by a single piece
-    are taken to continue across a cell boundary and are not checked.
-    """
-    segments = []
-    meeting = {}
-    for face, start, end, weight in weighted_segments:
-        seg = Segment(face, start, end, (1, 0))
-        weight = int(weight)
-        prim, _ = primitive(
-            tuple(int(v) for v in _scaled_integer(seg.tangent))
-        )
-        if weight != 0:
-            segments.append(
-                Segment(face, start, end, tuple(weight * v for v in prim))
-            )
-        for point, out in ((seg.start, prim), (seg.end, tuple(-v for v in prim))):
-            key = (face, point)
-            meeting.setdefault(key, []).append(tuple(weight * v for v in out))
-    for (face, point), outs in meeting.items():
-        if len(outs) < 2:
-            continue
-        if any(sum(v[k] for v in outs) != 0 for k in range(2)):
-            raise ComplexError(
-                f"cycle is not balanced at {point} in cell {face!r}"
-            )
-    return OneOneCycle(tuple(segments))
-
-
-def _scaled_integer(vec):
-    denom = 1
-    for v in vec:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    return tuple(v * denom for v in vec)
 
 
 def signature_1_1(basis):

@@ -7,73 +7,75 @@ the second Chern class with its behaviour under vertex splits.
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd
 
 from . import bergman, fan_cycles
 from . import matroid as mt
 from .errors import CycleError, FanError
 
 
-def _rays_by_boundary_point(plane, cycle):
-    """Group the rays of a cycle by the rank-2 flat they exit through."""
+def _rays_by_corner(plane, cycle):
+    """Group the rays of a cycle in the plane by the corner p_I they leave
+    through: the support I of their positive decomposition r, when it has
+    two or more elements.  Such a support is a rank-2 flat, since the ray
+    lies in the plane."""
     out = {}
     for d, w in cycle.rays:
-        kind, where = fan_cycles.boundary_point(plane.basis, plane.matroid, d)
-        if kind == "point":
-            r = fan_cycles.positive_decomposition(plane.basis, d)
-            out.setdefault(where, []).append((d, w, r))
+        r = fan_cycles.positive_decomposition(plane.basis, d)
+        support = frozenset(i for i, x in enumerate(r) if x)
+        if len(support) > 1:
+            out.setdefault(support, []).append((w, r))
     return out
 
 
-def _chart_pair(plane, flat, rays1, rays2):
+def _in_face(r, flat, i):
+    """Does a ray of the plane leaving through p_I lie in the fine face
+    {i} < I, spanned by u_i and u_I?  Exactly when r is constant on
+    I - {i}.  For |I| >= 3 this needs the ray to lie in the plane: then the
+    upper level sets of r form a flag of flats (Ardila-Klivans), and no
+    proper subset of I with two or more elements is a flat, so r is some b
+    on I - {i} and at least b at i."""
+    return len({r[k] for k in flat if k != i}) == 1
+
+
+def _chart_pair(flat, rays1, rays2):
     """The pair (i, j) in the flat whose two fine faces contain every ray
     meeting the corner p_I.  For |I| = 2 there is no choice."""
     flat_sorted = sorted(flat)
     if len(flat) == 2:
         return tuple(flat_sorted)
-    u_flat = plane.basis.direction(flat)
-
-    def in_face(v, i):
-        return bergman._in_sector(v, plane.basis.direction([i]), u_flat)
-
-    all_rays = [d for d, _, _ in rays1 + rays2]
+    rs = [r for _, r in rays1 + rays2]
     for i, j in combinations(flat_sorted, 2):
-        if all(in_face(v, i) or in_face(v, j) for v in all_rays):
+        if all(_in_face(r, flat, i) or _in_face(r, flat, j) for r in rs):
             return (i, j)
     raise FanError(
         f"no two faces at p_{flat_sorted} contain all rays meeting the corner"
     )
 
 
-def _projected(rays, i, j):
-    """Push a list of (direction, weight, r) to the torus corner chart:
-    primitive direction with nonpositive entries, weight times the index."""
-    out = []
-    for _, w, r in rays:
-        t = (-r[i], -r[j])
-        g = gcd(abs(t[0]), abs(t[1]))
-        out.append(((t[0] // g, t[1] // g), w * g))
-    return out
-
-
 def corner_multiplicities(plane, c1, c2):
-    """dict: rank-2 flat I -> (C1 . C2)_{p_I} for corners both curves meet."""
+    """dict: rank-2 flat I -> (C1 . C2)_{p_I} for corners both curves meet.
+
+    With r the positive decomposition of a ray and {i} < I, {j} < I two
+    fine faces that contain every ray of C1 and C2 leaving through p_I,
+
+        (C1 . C2)_{p_I} = sum of w1 w2 min(r1(i) r2(j), r1(j) r2(i))
+
+    over the rays (r1, w1) of C1 and (r2, w2) of C2 leaving through p_I.
+    """
     for c in (c1, c2):
         fan_cycles.require_balanced(c)
         if not fan_cycles.lies_in(c, plane):
             raise CycleError("cycle does not lie in the plane")
-    by1 = _rays_by_boundary_point(plane, c1)
-    by2 = _rays_by_boundary_point(plane, c2)
+    by1 = _rays_by_corner(plane, c1)
+    by2 = _rays_by_corner(plane, c2)
     out = {}
     for flat in sorted(set(by1) & set(by2), key=sorted):
-        i, j = _chart_pair(plane, flat, by1[flat], by2[flat])
-        p1 = _projected(by1[flat], i, j)
-        p2 = _projected(by2[flat], i, j)
-        total = 0
-        for (k, w1) in p1:
-            for (l, w2) in p2:
-                total += w1 * w2 * min(k[0] * l[1], k[1] * l[0])
-        out[flat] = total
+        i, j = _chart_pair(flat, by1[flat], by2[flat])
+        out[flat] = sum(
+            w1 * w2 * min(r1[i] * r2[j], r1[j] * r2[i])
+            for w1, r1 in by1[flat]
+            for w2, r2 in by2[flat]
+        )
     return out
 
 

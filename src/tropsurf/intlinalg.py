@@ -8,7 +8,9 @@ it on a matrix and its transpose (Kannan-Bachem), whose nonzero invariant
 factors also give the rank.  Determinants stay in the integers by
 fraction-free (Bareiss) elimination; `solve` and `symmetric_signature`
 use Fraction Gaussian elimination, since their answers or intermediate
-pivots are rational.  All arithmetic is exact.
+pivots are rational.  `solve` now serves fan membership only (the 2-ray
+sector test of `bergman`); corner multiplicities are integer formulas.
+All arithmetic is exact.
 """
 
 from __future__ import annotations

@@ -199,10 +199,6 @@ class Matroid:
 
     # -- queries -----------------------------------------------------------
 
-    def closure(self, subset):
-        s = frozenset(subset)
-        return min((f for f in self.all_flats() if s <= f), key=len, default=None)
-
     def rank_of(self, subset):
         s = frozenset(subset)
         for r, level in enumerate(self.flats_by_rank):

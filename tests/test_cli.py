@@ -621,6 +621,22 @@ class TestErrors:
         assert rc == 1 and out == ""
         assert err == f"error: {bad}: {message}\n"
 
+    def test_pairing_errors_name_the_pair(self, capsys, files):
+        # the diagonal pairs each cycle with itself, so a cycle bent inside
+        # one 2-cell meets itself at the bend; the pairs before it are fine
+        cycles = _torus_cycles(lambda seg: None)
+        cycles["cycles"]["bent"] = {"segments": [
+            {"face": "F1", "start": ["1/2", "1/2"], "end": ["3/4", "1/2"], "coeff": [1, 0]},
+            {"face": "F1", "start": ["3/4", "1/2"], "end": ["3/4", "3/4"], "coeff": [0, 1]},
+        ]}
+        bad = files("cycles.json", cycles)
+        rc, out, err = run(capsys, PAIR_WITH_TORUS + [bad])
+        assert rc == 1 and out == ""
+        assert err == (
+            f"error: {bad}: cycles.bent . cycles.bent: "
+            "cycles meet at a segment endpoint: perturb the representative\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, obj, location, got",
         [

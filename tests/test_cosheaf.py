@@ -421,42 +421,3 @@ class TestSignature:
         assert ch.intersection_pairing(b, c) == 1
         assert ch.signature_1_1([(b, c)]) == 1
 
-
-class TestCycleMap:
-    def test_tripod(self):
-        cyc = ch.cycle_map(
-            [
-                ("f", (0, 0), (2, 0), 1),
-                ("f", (0, 0), (0, -2), 1),
-                ("f", (0, 0), (-2, 2), 1),
-            ]
-        )
-        coeffs = {s.coeff for s in cyc.segments}
-        assert coeffs == {(1, 0), (0, -1), (-1, 1)}
-
-    def test_weights_scale_coefficients(self):
-        cyc = ch.cycle_map([("f", (0, 0), (3, 0), 2)])
-        assert cyc.segments[0].coeff == (2, 0)
-
-    def test_zero_weight_dropped_but_balanced(self):
-        cyc = ch.cycle_map(
-            [
-                ("f", (0, 0), (1, 0), 0),
-                ("f", (0, 0), (0, 1), 0),
-            ]
-        )
-        assert cyc.segments == ()
-
-    def test_unbalanced_rejected(self):
-        with pytest.raises(ComplexError):
-            ch.cycle_map(
-                [
-                    ("f", (0, 0), (1, 0), 1),
-                    ("f", (0, 0), (0, 1), 1),
-                ]
-            )
-
-    def test_single_endpoint_crosses_cell_boundary(self):
-        # a lone endpoint is assumed to continue into the next cell
-        cyc = ch.cycle_map([("f", (0, 0), (1, 0), 1), ("g", (1, 0), (2, 0), 1)])
-        assert len(cyc.segments) == 2

@@ -2,6 +2,8 @@
 self-intersection, and c2 point multiplicities."""
 
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,55 @@ from tropsurf import fan_intersect as fi
 from tropsurf import matroid as mt
 from tropsurf.errors import FanError
 
-from cycle_gen import random_cycle
+from cycle_gen import generators, random_cycle
+from test_bergman import random_unimodular_basis
 from test_fan_cycles import CONIC
 from test_matroid import matroids
+
+
+def sector_corners(plane, c1, c2):
+    """The corner multiplicities by the torus charts the integer formula
+    replaced: rays grouped by ``boundary_point``, the chart pair chosen by
+    sector solves, and each ray pushed to the chart (-r(i), -r(j)) as a
+    primitive direction whose weight takes the index."""
+
+    def by_point(cycle):
+        out = {}
+        for d, w in cycle.rays:
+            kind, where = fc.boundary_point(plane.basis, plane.matroid, d)
+            if kind == "point":
+                out.setdefault(where, []).append((d, w, fc.positive_decomposition(plane.basis, d)))
+        return out
+
+    def chart_pair(flat, rays):
+        if len(flat) == 2:
+            return tuple(sorted(flat))
+        u_flat = plane.basis.direction(flat)
+        for i, j in combinations(sorted(flat), 2):
+            if all(bg._in_sector(d, plane.basis.direction([i]), u_flat)
+                   or bg._in_sector(d, plane.basis.direction([j]), u_flat)
+                   for d, _, _ in rays):
+                return (i, j)
+        raise FanError(f"no two faces at p_{sorted(flat)} contain all rays meeting the corner")
+
+    def projected(rays, i, j):
+        out = []
+        for _, w, r in rays:
+            t = (-r[i], -r[j])
+            g = gcd(*t)
+            out.append(((t[0] // g, t[1] // g), w * g))
+        return out
+
+    by1, by2 = by_point(c1), by_point(c2)
+    out = {}
+    for flat in sorted(set(by1) & set(by2), key=sorted):
+        i, j = chart_pair(flat, by1[flat] + by2[flat])
+        out[flat] = sum(
+            w1 * w2 * min(k[0] * l[1], k[1] * l[0])
+            for k, w1 in projected(by1[flat], i, j)
+            for l, w2 in projected(by2[flat], i, j)
+        )
+    return out
 
 
 class TestCorners:
@@ -64,8 +112,11 @@ class TestCorners:
 
         c1 = sector(3)
         c2 = sector(4) + sector(5)
-        with pytest.raises(FanError):
+        message = r"no two faces at p_\[3, 4, 5\] contain all rays meeting the corner"
+        with pytest.raises(FanError, match=message):
             fi.corner_multiplicities(plane, c1, c2)
+        with pytest.raises(FanError, match=message):
+            sector_corners(plane, c1, c2)
         # pairs within two faces are fine
         assert fi.corner_multiplicities(plane, c1, sector(4))
 
@@ -78,6 +129,76 @@ class TestCorners:
         assert fi.corner_multiplicities(plane, c1, c2) == fi.corner_multiplicities(
             plane, c2, c1
         )
+
+
+class TestIntegerCorners:
+    """The integer face rule and corner formula against the sector solves
+    and torus charts they replaced, on seeded cycle pairs in every plane of
+    a matroid on at most 6 elements."""
+
+    @staticmethod
+    def seeded_pairs(kind):
+        rng = random.Random(22)
+        for n in range(3, 7):
+            for m in mt.enumerate_simple_rank3(n):
+                basis = random_unimodular_basis(rng, n - 1) if kind == "random" else None
+                plane = bg.build_fan(m, basis)
+                gens = generators(plane)
+                c1 = random_cycle(plane, rng, gens)
+                # c2 shares the corners of c1 unless their rays cancel
+                yield plane, c1, c1 + random_cycle(plane, rng, gens)
+
+    @pytest.mark.parametrize(
+        "kind, faces_checked, big_corners",
+        [("standard", 3110, 179), ("random", 3182, 189)],
+        ids=["standard", "random"],
+    )
+    def test_agree_with_the_sector_charts(self, kind, faces_checked, big_corners, monkeypatch):
+        solves, checks, inside = [], [], []
+
+        def counting_solve(rows, rhs):
+            solves.append(bool(inside))
+            return solve(rows, rhs)
+
+        def counting_lies_in(cycle, plane):
+            checks.append(cycle)
+            inside.append(cycle)
+            try:
+                return lies_in(cycle, plane)
+            finally:
+                inside.pop()
+
+        solve, lies_in = bg.solve, fc.lies_in
+        pairs = faces = corners = solved = 0
+        for plane, c1, c2 in self.seeded_pairs(kind):
+            basis = plane.basis
+            for c in (c1, c2):
+                for flat, rays in fi._rays_by_corner(plane, c).items():
+                    if len(flat) < 3:
+                        continue  # a corner with two faces needs no choice
+                    u_flat = basis.direction(flat)
+                    d_of = {fc.positive_decomposition(basis, d): d for d, _ in c.rays}
+                    for _, r in rays:
+                        for i in flat:
+                            u_i = basis.direction([i])
+                            assert fi._in_face(r, flat, i) == bg._in_sector(d_of[r], u_i, u_flat)
+                            faces += 1
+            monkeypatch.setattr(bg, "solve", counting_solve)
+            monkeypatch.setattr(fc, "lies_in", counting_lies_in)
+            try:
+                got = fi.corner_multiplicities(plane, c1, c2)
+            finally:
+                monkeypatch.undo()
+            # the only solves are those of the two membership checks
+            assert checks == [c1, c2] and all(solves)
+            solved += len(solves)
+            solves.clear()
+            checks.clear()
+            assert got == sector_corners(plane, c1, c2)
+            pairs += 1
+            corners += sum(len(flat) > 2 for flat in got)
+        assert (pairs, faces, corners) == (389, faces_checked, big_corners)
+        assert solved
 
 
 class TestCanonicalSquare:

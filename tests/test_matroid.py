@@ -289,7 +289,6 @@ class TestConstruction:
         assert m == braid and m.flats_by_rank == levels
 
     def test_closure_and_rank(self, braid):
-        assert braid.closure([0, 1]) == frozenset([0, 1, 3])
         assert braid.rank_of([0, 1]) == 2
         assert braid.rank_of([0, 4]) == 2
         assert braid.rank_of([0, 1, 2]) == 3
