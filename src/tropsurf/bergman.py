@@ -2,18 +2,20 @@
 rank-3 matroid, with its coarse polyhedral structure.
 
 Elements of the matroid correspond to the boundary lines of the plane,
-rank-2 flats to intersection points of those lines.  The fine fan has a
-ray u_I for every flat I in a flag, one 2-cone per flag {i} < I; passing
-to the coarse structure deletes the rays along which the support is
-locally linear:
+rank-2 flats to intersection points of those lines.  The fine fan is the
+cone over the flag graph (Ardila-Klivans): a ray u_F for every vertex, an
+element {i} or a rank-2 flat I, and one 2-cone for every edge {i} < I.
+The coarse structure is that graph with its degree-2 vertices suppressed,
+since the support is locally linear along their rays:
 
-* rays of two-element flats I = {i, j} (u_I = u_i + u_j subdivides the
-  cone spanned by u_i and u_j), and
-* rays u_b of elements b lying on exactly 2 rank-2 flats K, L (then
-  u_b = -u_K - u_L and the two adjacent cones close up to a flat piece).
+* two-element flats I = {i, j} (u_I = u_i + u_j subdivides the cone
+  spanned by u_i and u_j), and
+* elements b lying on exactly 2 rank-2 flats K, L (then u_b = -u_K - u_L
+  and the two adjacent cones close up to a flat piece).
 
-Deleted rays are remembered inside each coarse cone as a path of fine
-directions, so membership tests still resolve the fine structure.
+A coarse cone is a walk from a kept vertex through degree-2 vertices to
+the next one; its fine directions are kept as the cone's sectors, so
+membership tests still resolve the fine structure.
 """
 
 from __future__ import annotations
@@ -157,46 +159,34 @@ def build_fan(m, basis=None):
     if basis.dim != m.n - 1:
         raise FanError("basis dimension must be n - 1")
 
-    rank2 = list(m.flats(2))
-    paths = []
-    for flat in rank2:
-        for i in sorted(flat):
-            paths.append([frozenset([i]), flat])
-    pruned = [f for f in rank2 if len(f) == 2]
-    pruned += [
-        frozenset([b]) for b in range(m.n) if m.point_count(b) == 2
-    ]
-    degenerate = False
-    for f in pruned:
-        incident = [p for p in paths if p[0] == f or p[-1] == f]
-        if len(incident) == 1 and incident[0][0] == f and incident[0][-1] == f:
-            degenerate = True  # the whole support is a plane (U_{3,3})
-            break
-        if len(incident) != 2:
-            raise FanError(f"cannot prune ray of {sorted(f)}")  # pragma: no cover
-        p1, p2 = incident
-        paths.remove(p1)
-        paths.remove(p2)
-        if p1[0] == f:
-            p1.reverse()
-        if p2[-1] == f:
-            p2.reverse()
-        paths.append(p1 + p2[1:])
-
-    if degenerate:
+    # the flag graph: {i} is joined to each rank-2 flat I through i
+    adjacent = {}
+    for flat in m.flats(2):
+        adjacent[flat] = [frozenset([i]) for i in sorted(flat)]
+        for point in adjacent[flat]:
+            adjacent.setdefault(point, []).append(flat)
+    flats = sorted((f for f, near in adjacent.items() if len(near) != 2),
+                   key=lambda f: (len(f), sorted(f)))
+    if not flats:
+        # the flag graph is one 6-cycle: the support is a plane (U_{3,3})
         return FanPlane(m, basis, (), (), degenerate_plane=True)
 
-    flats = sorted({p[0] for p in paths} | {p[-1] for p in paths},
-                   key=lambda f: (len(f), sorted(f)))
     rays = tuple(Ray(f, basis.direction(f)) for f in flats)
     index = {f: k for k, f in enumerate(flats)}
     cones = []
-    for p in paths:
-        i, j = index[p[0]], index[p[-1]]
-        if j < i:
-            p.reverse()
-            i, j = j, i
-        cones.append(Cone(i, j, tuple(basis.direction(f) for f in p)))
+    for start in flats:
+        for step in adjacent[start]:
+            # A simple rank-3 matroid's flag graph is connected, so a walk
+            # along degree-2 vertices always reaches a kept vertex unless
+            # the whole graph is one cycle (ruled out above).
+            walk = [start, step]
+            while walk[-1] not in index:
+                a, b = adjacent[walk[-1]]
+                walk.append(b if a == walk[-2] else a)
+            # the walk from the other end finds the same cone
+            i, j = index[start], index[walk[-1]]
+            if i < j:
+                cones.append(Cone(i, j, tuple(map(basis.direction, walk))))
     cones.sort(key=lambda c: (c.i, c.j, c.sectors))
     return FanPlane(m, basis, rays, tuple(cones))
 

@@ -134,6 +134,12 @@ def matroid_to_json(m):
     }
 
 
+def _rank2_flats_line(m):
+    return "rank-2 flats: " + " ".join(
+        "{" + ",".join(map(str, sorted(f))) + "}" for f in m.flats(2)
+    )
+
+
 def _emit(args, payload, text_lines):
     if args.json:
         out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -159,24 +165,20 @@ def cmd_matroid_info(args):
     m = load_matroid(args.matroid)
     chi = mt.characteristic_polynomial(m)
     reduced = mt.divide_by_t_minus_one(chi)
-    payload = {
-        "n": m.n,
-        "rank": m.rank,
-        "simple": m.is_simple(),
-        "flats": [[sorted(f) for f in level] for level in m.flats_by_rank],
-        "char_poly": list(chi),
-        "reduced_char_poly": list(reduced),
-        "chi_bar_at_1": mt.poly_eval(reduced, 1),
-    }
+    payload = matroid_to_json(m)
+    payload.update(
+        rank=m.rank,
+        simple=m.is_simple(),
+        char_poly=list(chi),
+        reduced_char_poly=list(reduced),
+        chi_bar_at_1=mt.poly_eval(reduced, 1),
+    )
     lines = [
         f"matroid on {m.n} elements, rank {m.rank}",
         f"simple: {'yes' if payload['simple'] else 'no'}",
     ]
     if m.rank >= 2:
-        lines.append(
-            "rank-2 flats: "
-            + " ".join("{" + ",".join(map(str, sorted(f))) + "}" for f in m.flats(2))
-        )
+        lines.append(_rank2_flats_line(m))
     lines += [
         f"characteristic polynomial: {payload['char_poly']}",
         f"reduced: {payload['reduced_char_poly']}",
@@ -237,11 +239,7 @@ def cmd_fan_reconstruct(args):
     dim = integer(field(obj, "dim", path, FanError), f"{path}: dim", FanError)
     m = bergman.reconstruct_matroid(rays, cones, _bounded_dim(path, dim, FanError))
     payload = matroid_to_json(m)
-    lines = [
-        f"reconstructed matroid on {m.n} elements",
-        "rank-2 flats: "
-        + " ".join("{" + ",".join(map(str, sorted(f))) + "}" for f in m.flats(2)),
-    ]
+    lines = [f"reconstructed matroid on {m.n} elements", _rank2_flats_line(m)]
     _emit(args, payload, lines)
 
 
@@ -347,6 +345,7 @@ def cmd_homology_diamond(args):
 
 def cmd_homology_pairing(args):
     from . import cosheaf_homology
+    from .intlinalg import symmetric_signature
 
     x = cosheaf_homology.parse_complex(_load(args.complex), args.complex)
     cycles = field(_load(args.cycles), "cycles", args.cycles, ComplexError)
@@ -369,7 +368,10 @@ def cmd_homology_pairing(args):
             raise ComplexError(f"{args.cycles}: cycles.{a} . cycles.{b}: {exc}") from None
 
     table = {a: {b: pairing(a, b) for b in names} for a in names}
-    sig = cosheaf_homology.signature_1_1([cycles[n] for n in names])
+    # a pairing of single cycles is symmetric (swapping them flips the signs
+    # of both determinants), so the table is the Gram matrix of
+    # signature_1_1 and need not be paired again
+    sig = symmetric_signature([[table[a][b] for b in names] for a in names])
     payload = {"pairing": table, "signature": sig}
     width = max(len(n) for n in names)
     lines = [" " * (width + 2) + "  ".join(n.rjust(width) for n in names)]

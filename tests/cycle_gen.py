@@ -38,9 +38,9 @@ def generators(plane):
     return gens
 
 
-def random_cycle(plane, rng, gens=None, max_parts=3):
-    if gens is None:
-        gens = generators(plane)
+def random_cycle(plane, rng, gens, max_parts=3):
+    """A sum of a few scaled draws from gens, the plane's generators
+    (computed once per plane by the caller)."""
     cycle = fc.FanCycle(plane.basis.dim, ())
     for _ in range(rng.randint(1, max_parts)):
         g = gens[rng.randrange(len(gens))]

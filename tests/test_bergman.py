@@ -2,6 +2,7 @@
 reconstruction of the matroid from the fan."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -57,6 +58,43 @@ def fraction_decompose(basis, v):
     """The rational solution of v = sum a_i u_i, as the basis once computed it."""
     n = basis.dim
     return tuple(solve([[basis.vectors[j][k] for j in range(n)] for k in range(n)], list(v)))
+
+
+def path_merging_fan(m, basis=None):
+    """The coarse fan as build_fan once computed it: one path per flag
+    {i} < I, each pruned vertex's two incident paths found by a scan of
+    every path and spliced into one, and each path oriented from its lower
+    ray index to its higher one."""
+    basis = basis or bg.standard_basis(m.n - 1)
+    rank2 = list(m.flats(2))
+    paths = [[frozenset([i]), flat] for flat in rank2 for i in sorted(flat)]
+    pruned = [f for f in rank2 if len(f) == 2]
+    pruned += [frozenset([b]) for b in range(m.n) if m.point_count(b) == 2]
+    for f in pruned:
+        incident = [p for p in paths if p[0] == f or p[-1] == f]
+        if len(incident) == 1 and incident[0][0] == f and incident[0][-1] == f:
+            return bg.FanPlane(m, basis, (), (), degenerate_plane=True)
+        p1, p2 = incident
+        paths.remove(p1)
+        paths.remove(p2)
+        if p1[0] == f:
+            p1.reverse()
+        if p2[-1] == f:
+            p2.reverse()
+        paths.append(p1 + p2[1:])
+    flats = sorted({p[0] for p in paths} | {p[-1] for p in paths},
+                   key=lambda f: (len(f), sorted(f)))
+    rays = tuple(bg.Ray(f, basis.direction(f)) for f in flats)
+    index = {f: k for k, f in enumerate(flats)}
+    cones = []
+    for p in paths:
+        i, j = index[p[0]], index[p[-1]]
+        if j < i:
+            p.reverse()
+            i, j = j, i
+        cones.append(bg.Cone(i, j, tuple(basis.direction(f) for f in p)))
+    cones.sort(key=lambda c: (c.i, c.j, c.sectors))
+    return bg.FanPlane(m, basis, rays, tuple(cones))
 
 
 class TestBasis:
@@ -194,6 +232,19 @@ class TestBuildFan:
             assert all(fc.lies_in(g, plane) for g in generators(plane))
         assert len(calls) == 4454
 
+    def test_flag_walk_equals_the_path_merging_oracle(self, all_small_matroids):
+        for m in all_small_matroids:
+            assert bg.build_fan(m) == path_merging_fan(m), m
+        assert len(all_small_matroids) == 8778
+
+    def test_u3_100_within_a_second(self):
+        # the path-merging scan took about 2 s on this plane
+        m = mt.from_lines(100, [])
+        start = time.perf_counter()
+        plane = bg.build_fan(m)
+        assert time.perf_counter() - start < 1.0
+        assert bg.counts(plane) == (100, 4950)
+
     @settings(max_examples=30, deadline=None)
     @given(matroids)
     def test_counting_identities(self, m):
@@ -272,6 +323,7 @@ class TestOtherBases:
             for m in mt.enumerate_simple_rank3(n):
                 basis = random_unimodular_basis(rng, n - 1)
                 plane = bg.build_fan(m, basis)
+                assert plane == path_merging_fan(m, basis)
                 rays = [r.direction for r in plane.rays]
                 cones = [(c.i, c.j) for c in plane.cones]
                 assert bg.reconstruct_matroid(rays, cones, n - 1, basis) == m

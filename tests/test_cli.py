@@ -305,6 +305,30 @@ class TestHomology:
             "signature: 0\n"
         )
 
+    @pytest.mark.parametrize("space, entries", [("torus", 4), ("klein", 9)])
+    def test_pairing_pairs_each_entry_once(self, capsys, monkeypatch, space, entries):
+        from tropsurf import cosheaf_homology as ch
+
+        complex_file = data_path("klein_bottle.json" if space == "klein" else "torus.json")
+        cycles_file = data_path(f"{space}_cycles.json")
+        x = ch.parse_complex(load_data(complex_file.name), str(complex_file))
+        named = load_data(cycles_file.name)["cycles"]
+        cycles = [ch.parse_cycle(named[k], x, k) for k in sorted(named)]
+        calls, real = [], ch.intersection_pairing
+
+        def counting(c1, c2):
+            calls.append((c1, c2))
+            return real(c1, c2)
+
+        monkeypatch.setattr(ch, "intersection_pairing", counting)
+        rc, out, _ = run(capsys, ["homology", "pairing", "--json", "--complex",
+                                  str(complex_file), "--cycles", str(cycles_file)])
+        monkeypatch.undo()
+        assert rc == 0
+        assert len(calls) == len(cycles) ** 2 == entries
+        # the table's signature is the one signature_1_1 gets by pairing again
+        assert json.loads(out)["signature"] == ch.signature_1_1(cycles)
+
     def test_diamond_json(self, capsys):
         rc, out, _ = run(
             capsys,

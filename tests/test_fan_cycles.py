@@ -57,8 +57,9 @@ class TestDegree:
     @given(matroids, st.randoms(use_true_random=False))
     def test_additivity(self, m, rng):
         plane = bg.build_fan(m)
-        c1 = random_cycle(plane, rng)
-        c2 = random_cycle(plane, rng)
+        gens = generators(plane)
+        c1 = random_cycle(plane, rng, gens)
+        c2 = random_cycle(plane, rng, gens)
         b = plane.basis
         assert fc.degree(c1 + c2, b) == fc.degree(c1, b) + fc.degree(c2, b)
         assert fc.degree(c1.scale(3), b) == 3 * fc.degree(c1, b)
@@ -109,7 +110,7 @@ class TestMembership:
     @given(matroids, st.randoms(use_true_random=False))
     def test_generated_cycles_lie_in_plane(self, m, rng):
         plane = bg.build_fan(m)
-        c = random_cycle(plane, rng)
+        c = random_cycle(plane, rng, generators(plane))
         assert fc.is_balanced(c)
         assert fc.lies_in(c, plane)
 

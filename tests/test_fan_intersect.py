@@ -124,8 +124,9 @@ class TestCorners:
     @given(matroids, st.randoms(use_true_random=False))
     def test_symmetry(self, m, rng):
         plane = bg.build_fan(m)
-        c1 = random_cycle(plane, rng)
-        c2 = random_cycle(plane, rng)
+        gens = generators(plane)
+        c1 = random_cycle(plane, rng, gens)
+        c2 = random_cycle(plane, rng, gens)
         assert fi.corner_multiplicities(plane, c1, c2) == fi.corner_multiplicities(
             plane, c2, c1
         )
