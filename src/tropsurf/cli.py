@@ -106,15 +106,20 @@ def load_cycle(path):
     from . import fan_cycles
 
     obj = _load(path)
-    rays = []
     listed = items(field(obj, "rays", path, CycleError), f"{path}: rays", "rays", CycleError)
+    dim = integer(field(obj, "dim", path, CycleError), f"{path}: dim", CycleError, low=0)
+    _bounded_dim(path, dim, CycleError)
+    rays = []
     for k, r in enumerate(listed):
         where = f"{path}: rays[{k}]"
         direction = integers(field(r, "dir", where, CycleError), f"{where}.dir", CycleError)
+        if len(direction) != dim:
+            raise CycleError(f"{where}.dir has {len(direction)} entries, expected dim = {dim}")
+        if not any(direction):
+            raise CycleError(f"{where}.dir is the zero vector")
         weight = field(r, "weight", where, CycleError)
         rays.append((direction, integer(weight, f"{where}.weight", CycleError)))
-    dim = integer(field(obj, "dim", path, CycleError), f"{path}: dim", CycleError, low=0)
-    return fan_cycles.FanCycle(_bounded_dim(path, dim, CycleError), tuple(rays))
+    return fan_cycles.FanCycle(dim, tuple(rays))
 
 
 def fan_to_json(plane):

@@ -20,6 +20,12 @@ from .intlinalg import primitive
 class FanCycle:
     """rays: tuple of (direction, weight); directions primitive, distinct.
 
+    The normal form: rays sorted by direction, each direction a primitive
+    tuple of ints of length ``dim``, each weight a nonzero int.  The
+    constructor checks and normalizes any input to it.  ``+`` and
+    ``scale`` by an int keep it without normalizing again: a sum merges
+    the two sorted ray tuples and a scale multiplies the weights.
+
     A direction given as a primitive tuple of ints is kept as that very
     tuple, so cycles built from one another (``scale``, ``+``) share their
     direction tuples; any other integral direction is converted.
@@ -52,12 +58,46 @@ class FanCycle:
         object.__setattr__(self, "rays", rays)
 
     def __add__(self, other):
+        if other.__class__ is not FanCycle:
+            return NotImplemented
         if self.dim != other.dim:
             raise CycleError("cannot add cycles in different ambients")
-        return FanCycle(self.dim, self.rays + other.rays)
+        # merge the two sorted ray tuples, adding the weights of equal
+        # directions and dropping those that cancel
+        a, b = self.rays, other.rays
+        rays = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (da, wa), (db, wb) = a[i], b[j]
+            if da < db:
+                rays.append(a[i])
+                i += 1
+            elif db < da:
+                rays.append(b[j])
+                j += 1
+            else:
+                if wa + wb:
+                    rays.append((da, wa + wb))
+                i += 1
+                j += 1
+        rays += a[i:] + b[j:]
+        return _from_normal_form(self.dim, tuple(rays))
 
     def scale(self, c):
-        return FanCycle(self.dim, tuple((d, c * w) for d, w in self.rays))
+        """c times the cycle; a factor other than an int goes through the
+        constructor, which accepts it only if every weight stays integral."""
+        rays = tuple((d, c * w) for d, w in self.rays)
+        if type(c) is not int:
+            return FanCycle(self.dim, rays)
+        return _from_normal_form(self.dim, rays if c else ())
+
+
+def _from_normal_form(dim, rays):
+    """The cycle on rays already in normal form, stored as they are."""
+    cycle = object.__new__(FanCycle)
+    object.__setattr__(cycle, "dim", dim)
+    object.__setattr__(cycle, "rays", rays)
+    return cycle
 
 
 def is_balanced(cycle):

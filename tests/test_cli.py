@@ -516,6 +516,16 @@ class TestErrors:
                 "rays[1].dir must be a list of integers, got [1, 'x']",
             ),
             (
+                ["cycle", "degree", "--cycle"],
+                {"dim": 2, "rays": [{"dir": [1, 0], "weight": 1}, {"dir": [1, 0, 0], "weight": 1}]},
+                "rays[1].dir has 3 entries, expected dim = 2",
+            ),
+            (
+                ["cycle", "degree", "--cycle"],
+                {"dim": 2, "rays": [{"dir": [1, 0], "weight": 1}, {"dir": [0, 0], "weight": 1}]},
+                "rays[1].dir is the zero vector",
+            ),
+            (
                 RECONSTRUCT,
                 {"dim": 2, "rays": [{"dir": [1, "x"]}], "cones": []},
                 "rays[0].dir must be a list of integers, got [1, 'x']",
@@ -589,6 +599,8 @@ class TestErrors:
             "complex-flat-iota1",
             "cycle-int-dir",
             "cycle-string-in-dir",
+            "cycle-dir-length",
+            "cycle-zero-dir",
             "fan-string-in-dir",
             "fan-int-cone",
             "fan-short-cone",

@@ -1,6 +1,7 @@
 """Balancing, positive decompositions, degrees, and boundary points of
 fan 1-cycles."""
 
+import random
 from fractions import Fraction
 
 import numpy
@@ -230,3 +231,91 @@ class TestNormalizationContract:
         assert c1 + c2 == c2 + c1
         assert c1.scale(0).rays == ()
         assert c1.scale(-2).rays == naive_rays([(d, -2 * w) for d, w in rays1])
+
+
+FACTORS = (-2, -1, 0, 1, 2, Fraction(1, 2), 2.0)
+
+
+def assert_built_as_by_constructor(make, construct):
+    """make() gives the cycle that construct() builds through the full
+    constructor, or raises the CycleError that it raises."""
+    try:
+        want = construct()
+    except CycleError:
+        with pytest.raises(CycleError):
+            make()
+        return
+    got = make()
+    assert got.rays == want.rays
+    assert all(type(w) is int for _, w in got.rays)
+    assert got == want and hash(got) == hash(want)
+
+
+def check_arithmetic(c1, c2):
+    assert_built_as_by_constructor(
+        lambda: c1 + c2, lambda: fc.FanCycle(c1.dim, c1.rays + c2.rays)
+    )
+    for c in (c1, c2):
+        for k in FACTORS:
+            assert_built_as_by_constructor(
+                lambda: c.scale(k),
+                lambda: fc.FanCycle(c.dim, tuple((d, k * w) for d, w in c.rays)),
+            )
+        assert c.scale(2).scale(Fraction(1, 2)) == c
+
+
+class TestArithmeticKeepsTheNormalForm:
+    """``+`` and ``scale`` skip the constructor's normalization for an int
+    factor; the constructor applied to the raw rays is their oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ray_pairs())
+    def test_agrees_with_the_constructor(self, case):
+        dim, rays1, rays2 = case
+        check_arithmetic(fc.FanCycle(dim, rays1), fc.FanCycle(dim, rays2))
+
+    def test_agrees_on_generated_cycles(self, library_matroids):
+        rng = random.Random(25)
+        for m in library_matroids.values():
+            plane = bg.build_fan(m)
+            gens = generators(plane)
+            for _ in range(20):
+                c1 = random_cycle(plane, rng, gens)
+                check_arithmetic(c1, random_cycle(plane, rng, gens))
+                check_arithmetic(c1, c1.scale(-1))
+
+    def test_sum_of_scaled_generators_normalizes_nothing(self, library_matroids, monkeypatch):
+        counts = {"primitive": 0, "__post_init__": 0}
+        real_primitive, real_post_init = fc.primitive, fc.FanCycle.__post_init__
+
+        def primitive(vec):
+            counts["primitive"] += 1
+            return real_primitive(vec)
+
+        def post_init(self):
+            counts["__post_init__"] += 1
+            real_post_init(self)
+
+        rng = random.Random(25)
+        draws = 0
+        for m in library_matroids.values():
+            plane = bg.build_fan(m)
+            gens = generators(plane)
+            with monkeypatch.context() as patch:
+                patch.setattr(fc, "primitive", primitive)
+                patch.setattr(fc.FanCycle, "__post_init__", post_init)
+                for _ in range(30):
+                    random_cycle(plane, rng, gens)
+                    draws += 1
+        # only each draw's empty starting cycle goes through the constructor
+        assert counts == {"primitive": 0, "__post_init__": draws}
+
+    @pytest.mark.parametrize("other", [1, 0, None, CONIC.rays], ids=["1", "0", "None", "rays"])
+    def test_adding_a_non_cycle_is_a_type_error(self, other):
+        assert CONIC.__add__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            CONIC + other
+
+    def test_adding_across_ambients_is_a_cycle_error(self):
+        with pytest.raises(CycleError, match="different ambients"):
+            CONIC + fc.FanCycle(2, ())
