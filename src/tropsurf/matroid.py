@@ -254,21 +254,42 @@ def from_lines(n, lines):
     for (a, am), (b, bm) in combinations(zip(big, masks), 2):
         if (am & bm).bit_count() > 1:
             raise MatroidError(f"lines {sorted(a)} and {sorted(b)} share two elements")
-    return _rank3(n, big, masks, frozenset)
+    return Matroid(n, _rank3(n, big, masks, frozenset))
 
 
 def _rank3(n, lines, masks, pair):
-    """``from_lines`` on checked lines and their bitmasks; ``pair`` makes the
-    frozenset of a pair of elements.  The rank-2 level is built in canonical
-    order when the lines are listed by sorted elements and have three or more:
-    the uncovered pairs in lexicographic order, then the lines by size."""
+    """The levels of the simple rank-3 matroid on lines given with their
+    bitmasks; ``pair`` makes the frozenset of a pair of elements.  The rank-2
+    level is the pairs on no line, then the lines, so every pair of elements
+    lies on a rank-2 flat.  It is in canonical order when the lines are listed
+    by sorted elements and have three or more: the uncovered pairs in
+    lexicographic order, then the lines by size."""
     near = [0] * n  # near[i]: the elements on a common line with i
     for f, m in zip(lines, masks):
         for i in f:
             near[i] |= m
     pairs = [pair(p) for p in combinations(range(n), 2) if not near[p[0]] >> p[1] & 1]
     bottom, points, top = _fixed(n)[1]
-    return Matroid(n, (bottom, points, tuple(pairs + sorted(lines, key=len)), top))
+    return bottom, points, tuple(pairs + sorted(lines, key=len)), top
+
+
+def _enumerated(n, lines, masks, pair):
+    """The simple rank-3 matroid on lines of 3..n-1 elements listed by sorted
+    elements, built without ``Matroid.__post_init__``.
+
+    ``_rank3`` gives such lines the shared fixed levels and a canonical
+    rank-2 level on which every pair of elements lies, so the lattice axioms
+    hold exactly when no pair lies on two rank-2 flats, that is when the
+    rank-2 flats hold n(n-1)/2 pairs between them.  That count is checked:
+    each two-element flat that ``_rank3`` added holds one pair."""
+    levels = _rank3(n, lines, masks, pair)
+    pairs = len(levels[2]) - len(lines)
+    if pairs + sum(len(f) * (len(f) - 1) // 2 for f in lines) != n * (n - 1) // 2:
+        raise MatroidError("the rank-2 flats do not partition the pairs")
+    m = object.__new__(Matroid)
+    object.__setattr__(m, "n", n)
+    object.__setattr__(m, "flats_by_rank", levels)
+    return m
 
 
 def direct_sum(m1, m2):
@@ -324,26 +345,6 @@ def extend_by_line(m, through=()):
     lines = [f | {e} for f in chosen]
     lines += [f for f in m.flats(2) if len(f) >= 3 and f not in chosen]
     return from_lines(m.n + 1, lines)
-
-
-def delete(m, e):
-    """Delete one element from a simple rank-3 matroid.
-
-    Elements above e are shifted down.  The result must still have rank 3
-    (deleting from U_{3,3} is rejected).
-    """
-    if m.rank != 3 or not m.is_simple():
-        raise MatroidError("deletion implemented for simple rank-3 matroids")
-    if not 0 <= e < m.n:
-        raise MatroidError("no such element")
-    if m.n <= 3:
-        raise MatroidError("deletion would drop the rank")
-
-    def relabel(f):
-        return frozenset(x if x < e else x - 1 for x in f if x != e)
-
-    lines = [relabel(f) for f in m.flats(2) if len(f - {e}) >= 3]
-    return from_lines(m.n - 1, lines)
 
 
 # -- characteristic polynomial --------------------------------------------
@@ -467,6 +468,12 @@ def enumerate_simple_rank3(n):
     share their immutable rank-0, rank-1 and top levels with each other and
     with ``from_lines``, and their two-element flats with each other.  Each
     rank-2 level is built in canonical order, so no level is sorted.
+
+    The lattices are built here, not taken from outside, so they skip the
+    full axiom check of ``Matroid``: each is checked when it is built by one
+    count, that its rank-2 flats partition the pairs of elements, which for
+    these levels is the whole set of simple rank-3 axioms (see
+    ``_enumerated``).
     """
     if n < 3:
         raise MatroidError("rank 3 needs at least 3 elements")
@@ -481,7 +488,7 @@ def enumerate_simple_rank3(n):
     out = []
 
     def bt(start, fam, fam_masks, banned):
-        out.append(_rank3(n, fam, fam_masks, pair))
+        out.append(_enumerated(n, fam, fam_masks, pair))
         for i in range(start, len(cands)):
             if not banned >> i & 1:
                 bt(i + 1, fam + [cands[i]], fam_masks + [masks[i]], banned | clash[i])

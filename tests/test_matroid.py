@@ -96,6 +96,19 @@ def canonical(levels):
     return tuple(tuple(sorted(sorted(lv, key=sorted), key=len)) for lv in levels)
 
 
+def delete(m, e):
+    """Delete element e from a simple rank-3 matroid that keeps rank 3,
+    shifting the elements above e down: the inverse of ``extend_by_line``
+    that the roundtrip tests check it against."""
+    assert m.rank == 3 and m.is_simple() and 0 <= e < m.n and m.n > 3
+
+    def relabel(f):
+        return frozenset(x if x < e else x - 1 for x in f if x != e)
+
+    lines = [relabel(f) for f in m.flats(2) if len(f - {e}) >= 3]
+    return mt.from_lines(m.n - 1, lines)
+
+
 @st.composite
 def matroids(draw):
     n = draw(st.integers(min_value=3, max_value=7))
@@ -366,10 +379,10 @@ class TestExtension:
                 chosen.append(f)
         chosen = chosen[: rng.randint(0, 2)]
         extended = mt.extend_by_line(m, chosen)
-        assert mt.is_isomorphic(mt.delete(extended, m.n), m)
+        assert mt.is_isomorphic(delete(extended, m.n), m)
 
     def test_delete_braid(self, braid):
-        m = mt.delete(braid, 5)
+        m = delete(braid, 5)
         assert m.n == 5
         assert sorted(len(f) for f in m.flats(2)) == [2, 2, 2, 2, 3, 3]
 
@@ -435,3 +448,35 @@ class TestEnumeration:
         for m in mt.enumerate_simple_rank3(5):
             assert m.rank == 3
             assert m.is_simple()
+
+    def test_enumeration_runs_no_full_validation(self, monkeypatch):
+        calls = []
+
+        def counted(self):
+            calls.append(self.n)
+            return post_init(self)
+
+        post_init = mt.Matroid.__post_init__
+        monkeypatch.setattr(mt.Matroid, "__post_init__", counted)
+        counts = [len(mt.enumerate_simple_rank3(n)) for n in range(3, 8)]
+        assert counts == [1, 5, 31, 352, 8389]
+        assert calls == []
+        mt.from_lines(7, [])
+        assert calls == [7]
+
+    @pytest.mark.parametrize(
+        "n, lines",
+        [
+            (5, [[0, 1, 2], [0, 1, 3]]),  # two lines share two elements
+            (5, [[0, 1, 2], [0, 1, 2]]),  # a line listed twice
+            (6, [[0, 1, 2, 3], [2, 3, 4]]),
+            (3, [[0, 1], [0, 1]]),  # a rank-2 level with the pair {0, 1} twice
+        ],
+    )
+    def test_enumerated_lattices_must_partition_the_pairs(self, n, lines):
+        lines = [frozenset(f) for f in lines]
+        masks = [sum(1 << i for i in f) for f in lines]
+        with pytest.raises(
+            MatroidError, match=r"^the rank-2 flats do not partition the pairs$"
+        ):
+            mt._enumerated(n, lines, masks, frozenset)
