@@ -3,9 +3,14 @@ simple rank-3 case that underlies fan tropical planes.
 
 A rank-3 simple matroid on elements 0..n-1 is the same data as a point
 configuration: elements play the role of lines of an arrangement, rank-2
-flats the role of intersection points.  ``from_lines`` builds the matroid
-from the collection of "big" rank-2 flats (size >= 3); every uncovered
-pair of elements closes up to a two-element flat automatically.
+flats the role of intersection points.  It is a linear space: every pair of
+elements lies on exactly one rank-2 flat (Oxley, *Matroid Theory*, 1.5).  So
+the "big" rank-2 flats (size >= 3, the "lines") fix it, every pair of
+elements on no line is a two-element flat, and one count checks the axioms:
+the rank-2 flats hold n(n-1)/2 pairs between them.  ``from_lines``,
+``enumerate_simple_rank3`` and ``Matroid`` itself build every simple rank-3
+lattice through that count (``_rank3``); any other lattice is checked
+against the axioms one by one.
 """
 
 from __future__ import annotations
@@ -26,56 +31,20 @@ _FIXED = {}
 
 
 def _fixed(n):
-    """``(bit, levels, known)`` for range(n): ``bit`` is ``_bits(n)``, ``levels``
-    the rank-0, rank-1 and top levels of every simple rank-3 matroid on range(n),
-    and ``known`` maps the id of each of those tuples to its flats' bitmasks.
-
-    One shared instance per n.  The levels are built in canonical order from
-    range(n), so a level that *is* one of them needs no bitmask, order or
-    ground-set check of its own."""
+    """``(bit, levels)`` for range(n): ``bit`` is ``_bits(n)`` and ``levels``
+    the rank-0, rank-1 and top levels of every simple rank-3 matroid on
+    range(n), one shared instance per n."""
     fixed = _FIXED.get(n)
     if fixed is None:
-        bit = _bits(n)
         levels = (frozenset(),), tuple(frozenset((i,)) for i in range(n)), (frozenset(range(n)),)
-        known = {id(level): [sum(map(bit, f)) for f in level] for level in levels}
-        fixed = _FIXED[n] = bit, levels, known
+        fixed = _FIXED[n] = _bits(n), levels
     return fixed
 
 
-def _masks(level, bit, ground):
-    """The bitmasks of a level's flats; None for a flat outside the ground set."""
-    return [sum(map(bit, f)) if f <= ground else None for f in level]
-
-
-def _in_order(masks):
-    """Whether flats with these bitmasks are listed in canonical order: by size,
-    and of two flats of equal size, the earlier holds the lowest element of a ^ b
-    (so it is the earlier by sorted elements)."""
-    for a, b in zip(masks, masks[1:]):
-        size_a, size_b = a.bit_count(), b.bit_count()
-        if size_a > size_b or size_a == size_b and not a & (a ^ b) & -(a ^ b):
-            return False
-    return True
-
-
 def _canon(flats):
-    """A level out of canonical order, or with a flat outside the ground set, in
-    canonical order: by size, then by sorted elements (sort by elements, then
-    stably by size).  A level already in order is never passed here."""
+    """The flats in canonical order: by size, then by sorted elements (sort
+    by elements, then stably by size)."""
     return tuple(sorted(sorted(flats, key=sorted), key=len))
-
-
-def _meet_in_at_most_one(n, flats, masks):
-    """``near``, where near[i] is the union of the flats on range(n) through i,
-    or None when two of the flats share two elements."""
-    near = [0] * n
-    for f, m in zip(flats, masks):
-        for i in f:
-            x = near[i] & m
-            if x & (x - 1):
-                return None
-            near[i] |= m
-    return near
 
 
 def _covers_and_ranks(levels, masks, full):
@@ -114,28 +83,25 @@ class Matroid:
     flats_by_rank: tuple
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise MatroidError("ground set must be nonempty")
-        # one pass computes each flat's bitmask, and decides on the bitmasks whether
-        # the level is in canonical order.  A level in order is kept as given, so a
-        # level that many matroids share is stored once; only one out of order is
-        # sorted.  A level that is one of the shared fixed levels takes its stored
-        # bitmasks
-        bit, fixed, known = _fixed(self.n)
-        ground = fixed[2][0]
-        levels, masks = [], []
-        for level in self.flats_by_rank:
-            level = tuple(level)
-            lm = known.get(id(level))
-            if lm is None:
-                lm = _masks(level, bit, ground)
-                if None in lm or not _in_order(lm):
-                    level = _canon(level)
-                    lm = _masks(level, bit, ground)
-            levels.append(level)
-            masks.append(lm)
-        object.__setattr__(self, "flats_by_rank", tuple(levels))
-        self._validate(masks)
+        levels = tuple(map(tuple, self.flats_by_rank))
+        # four levels on three or more elements are a simple rank-3 lattice
+        # exactly when they hold the flats ``_rank3`` builds from their lines
+        if n >= 3 and len(levels) == 4:
+            bit, ground = _fixed(n)[0], frozenset(range(n))
+            lines = sorted((f for f in levels[2] if 2 < len(f) < n and f <= ground), key=sorted)
+            masks = [sum(map(bit, f)) for f in lines]
+            try:
+                built = _rank3(n, lines, masks, frozenset).flats_by_rank
+            except MatroidError:
+                built = ()
+            if built and all(len(a) == len(b) and set(a) == set(b) for a, b in zip(levels, built)):
+                object.__setattr__(self, "flats_by_rank", built)
+                return
+        object.__setattr__(self, "flats_by_rank", tuple(map(_canon, levels)))
+        self._validate()
 
     # -- structure ---------------------------------------------------------
 
@@ -150,14 +116,16 @@ class Matroid:
         for level in self.flats_by_rank:
             yield from level
 
-    def _validate(self, masks):
-        """The axioms, on ``masks[r]``, the bitmasks of the rank-r flats."""
+    def _validate(self):
+        """The axioms one by one, naming the first violation in canonical order."""
         n, levels = self.n, self.flats_by_rank
-        bit, (bottom, points, top), known = _fixed(n)
+        bit, (bottom, _, top) = _fixed(n)
         if not levels or levels[0] != bottom:
             raise MatroidError("unique rank-0 flat must be the empty set (loopless)")
         if levels[-1] != top:
             raise MatroidError("unique top flat must be the whole ground set")
+        # each flat's bitmask; None for a flat outside the ground set
+        masks = [[sum(map(bit, f)) if f <= top[0] else None for f in level] for level in levels]
         listed = [m for lm in masks for m in lm]
         seen = set(listed)
         if len(seen) < len(listed) or None in seen or not all(levels):
@@ -172,30 +140,14 @@ class Matroid:
                     if m in seen:
                         raise MatroidError(f"flat {sorted(f)} listed twice")
                     seen.add(m)
-        # closure under intersection: the bottom and top flats meet any flat in a flat.
-        # When every element is a rank-1 flat of a rank-3 lattice, two flats below the
-        # top meet in a flat if no two rank-2 flats share two elements; else test pairs
-        simple3 = len(levels) == 4 and masks[1] == known[id(points)]
-        near = _meet_in_at_most_one(n, levels[2], masks[2]) if simple3 else None
-        if near is None:
-            pairs = combinations([m for row in masks[1:-1] for m in row], 2)
-            if not set(starmap(and_, pairs)) <= seen:
-                mid = [f for level in levels[1:-1] for f in level]
-                f, g = next(
-                    p for p in combinations(mid, 2) if sum(map(bit, p[0] & p[1])) not in seen
-                )
-                raise MatroidError(
-                    f"flats not closed under intersection: {sorted(f)}, {sorted(g)}"
-                )
-        full = (1 << n) - 1
-        # Simple rank 3 with the lines through each point i covering the ground set:
-        # the singletons partition it, the lines through i meet only in i (no two
-        # share two elements) and so partition the rest, and every rank-2 flat has
-        # two or more elements (an empty or one-element one is listed twice), so it
-        # lies above a point.  No covers or ranks check can fail, so none is run
-        if near is not None and near.count(full) == n:
-            return
-        _covers_and_ranks(levels, masks, full)
+        # closure under intersection: the bottom and top flats meet any flat in a
+        # flat, so pairs of the ranks between are tested, up to the first failure
+        pairs = combinations([m for row in masks[1:-1] for m in row], 2)
+        if not all(map(seen.__contains__, starmap(and_, pairs))):
+            mid = [f for level in levels[1:-1] for f in level]
+            f, g = next(p for p in combinations(mid, 2) if sum(map(bit, p[0] & p[1])) not in seen)
+            raise MatroidError(f"flats not closed under intersection: {sorted(f)}, {sorted(g)}")
+        _covers_and_ranks(levels, masks, (1 << n) - 1)
 
     # -- queries -----------------------------------------------------------
 
@@ -239,7 +191,7 @@ def from_lines(n, lines):
     ground = frozenset(range(n))
     if n < 3:
         raise MatroidError("rank 3 needs at least 3 elements")
-    big = []
+    given = []
     for line in lines:
         f = frozenset(line)
         if not f <= ground:
@@ -248,47 +200,44 @@ def from_lines(n, lines):
             raise MatroidError(f"line {sorted(f)} too small")
         if f == ground:
             raise MatroidError("a line equal to the ground set drops the rank")
-        big.append(f)
+        given.append(f)
     bit = _fixed(n)[0]
-    masks = [sum(map(bit, f)) for f in big]
-    for (a, am), (b, bm) in combinations(zip(big, masks), 2):
-        if (am & bm).bit_count() > 1:
-            raise MatroidError(f"lines {sorted(a)} and {sorted(b)} share two elements")
-    return Matroid(n, _rank3(n, big, masks, frozenset))
+    big = sorted(given, key=sorted)
+    try:
+        return _rank3(n, big, [sum(map(bit, f)) for f in big], frozenset)
+    except MatroidError:
+        # name the first two lines, in the order given, that share two elements
+        a, b = next(p for p in combinations(given, 2) if len(p[0] & p[1]) > 1)
+        raise MatroidError(f"lines {sorted(a)} and {sorted(b)} share two elements") from None
 
 
 def _rank3(n, lines, masks, pair):
-    """The levels of the simple rank-3 matroid on lines given with their
-    bitmasks; ``pair`` makes the frozenset of a pair of elements.  The rank-2
-    level is the pairs on no line, then the lines, so every pair of elements
-    lies on a rank-2 flat.  It is in canonical order when the lines are listed
-    by sorted elements and have three or more: the uncovered pairs in
-    lexicographic order, then the lines by size."""
+    """The simple rank-3 matroid on range(n) whose rank-2 flats are the lines
+    and the pairs of elements on none of them, built without
+    ``Matroid.__post_init__``.
+
+    ``lines`` are listed by sorted elements, each a frozenset of 2..n-1
+    elements of range(n) (repeats allowed), ``masks`` are their bitmasks and
+    ``pair`` makes the frozenset of a pair of elements.  Every pair of
+    elements lies on a rank-2 flat, so the lattice axioms hold exactly when
+    none lies on two, that is when the rank-2 flats hold n(n-1)/2 pairs
+    between them; otherwise ``MatroidError`` is raised.  The levels are in
+    canonical order, and the rank-0, rank-1 and top levels are ``_fixed``'s."""
     near = [0] * n  # near[i]: the elements on a common line with i
     for f, m in zip(lines, masks):
         for i in f:
             near[i] |= m
     pairs = [pair(p) for p in combinations(range(n), 2) if not near[p[0]] >> p[1] & 1]
-    bottom, points, top = _fixed(n)[1]
-    return bottom, points, tuple(pairs + sorted(lines, key=len)), top
-
-
-def _enumerated(n, lines, masks, pair):
-    """The simple rank-3 matroid on lines of 3..n-1 elements listed by sorted
-    elements, built without ``Matroid.__post_init__``.
-
-    ``_rank3`` gives such lines the shared fixed levels and a canonical
-    rank-2 level on which every pair of elements lies, so the lattice axioms
-    hold exactly when no pair lies on two rank-2 flats, that is when the
-    rank-2 flats hold n(n-1)/2 pairs between them.  That count is checked:
-    each two-element flat that ``_rank3`` added holds one pair."""
-    levels = _rank3(n, lines, masks, pair)
-    pairs = len(levels[2]) - len(lines)
-    if pairs + sum(len(f) * (len(f) - 1) // 2 for f in lines) != n * (n - 1) // 2:
+    if len(pairs) + sum(len(f) * (len(f) - 1) // 2 for f in lines) != n * (n - 1) // 2:
         raise MatroidError("the rank-2 flats do not partition the pairs")
+    lines = sorted(lines, key=len)
+    level = pairs + lines
+    if lines and len(lines[0]) == 2:  # two-element lines go among the pairs
+        level = _canon(level)
+    bottom, points, top = _fixed(n)[1]
     m = object.__new__(Matroid)
     object.__setattr__(m, "n", n)
-    object.__setattr__(m, "flats_by_rank", levels)
+    object.__setattr__(m, "flats_by_rank", (bottom, points, tuple(level), top))
     return m
 
 
@@ -466,14 +415,13 @@ def enumerate_simple_rank3(n):
     that pairwise meet in at most one element, i.e. every labeled rank-3
     simple matroid, including U_{3,n} for the empty family.  The matroids
     share their immutable rank-0, rank-1 and top levels with each other and
-    with ``from_lines``, and their two-element flats with each other.  Each
-    rank-2 level is built in canonical order, so no level is sorted.
+    with every other simple rank-3 matroid on range(n), and their
+    two-element flats with each other.
 
-    The lattices are built here, not taken from outside, so they skip the
-    full axiom check of ``Matroid``: each is checked when it is built by one
-    count, that its rank-2 flats partition the pairs of elements, which for
-    these levels is the whole set of simple rank-3 axioms (see
-    ``_enumerated``).
+    Each lattice is built and checked by ``_rank3``, the one builder of
+    simple rank-3 matroids: its rank-2 flats must hold every pair of
+    elements once.  The families are listed by sorted elements, so no level
+    is sorted.
     """
     if n < 3:
         raise MatroidError("rank 3 needs at least 3 elements")
@@ -488,7 +436,7 @@ def enumerate_simple_rank3(n):
     out = []
 
     def bt(start, fam, fam_masks, banned):
-        out.append(_enumerated(n, fam, fam_masks, pair))
+        out.append(_rank3(n, fam, fam_masks, pair))
         for i in range(start, len(cands)):
             if not banned >> i & 1:
                 bt(i + 1, fam + [cands[i]], fam_masks + [masks[i]], banned | clash[i])

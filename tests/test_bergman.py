@@ -298,6 +298,27 @@ class TestReconstruction:
         with pytest.raises(FanError):
             bg.reconstruct_matroid([(1, 2, 3)], [], 3)
 
+    @pytest.mark.parametrize(
+        "name, i, j, lines",
+        [
+            ("braid", 0, 1, "[0, 1] and [0, 1, 3]"),
+            ("braid", 0, 5, "[0, 2, 5] and [0, 5]"),
+            ("pc22", 2, 3, "[0, 3, 4] and [3, 4]"),
+            ("star7", 0, 5, "[0, 5] and [0, 5, 6]"),
+        ],
+    )
+    def test_an_extra_cone_names_the_lines_it_overlaps(self, library_matroids, name, i, j, lines):
+        # a cone between two point rays on a line adds a two-element line inside
+        # it; the text is the one the pairwise rule gave on the same data
+        plane = bg.build_fan(library_matroids[name])
+        rays = [r.direction for r in plane.rays]
+        cones = [(c.i, c.j) for c in plane.cones] + [(i, j)]
+        with pytest.raises(FanError) as exc:
+            bg.reconstruct_matroid(rays, cones, plane.ambient_dim)
+        assert str(exc.value) == (
+            f"ray data is not a fan tropical plane: lines {lines} share two elements"
+        )
+
     @settings(max_examples=30, deadline=None)
     @given(matroids)
     def test_roundtrip_random(self, m):

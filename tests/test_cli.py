@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -847,6 +848,24 @@ class TestWorkBoundedByInput:
         assert time.monotonic() - start < 1.0
         assert rc == 1 and out == ""
         assert err == f"error: {m}: n must be at most {cli.MAX_ELEMENTS}, got {n}\n"
+
+    @pytest.mark.parametrize(
+        "argv, form",
+        [(["matroid", "info", "--matroid"], "lines"), (["fan", "build", "--matroid"], "lines"),
+         (["matroid", "info", "--matroid"], "flats")],
+        ids=["matroid-info", "fan-build", "matroid-info-flats"],
+    )
+    def test_matroid_at_the_element_bound(self, capsys, files, argv, form):
+        n = cli.MAX_ELEMENTS
+        obj = {"n": n, "lines": []} if form == "lines" else {"n": n, "flats": [
+            [[]], [[i] for i in range(n)], [list(p) for p in combinations(range(n), 2)],
+            [list(range(n))],
+        ]}
+        m = files("u3_100.json", obj)
+        start = time.monotonic()
+        rc, out, err = run(capsys, argv + [m])
+        assert time.monotonic() - start < 5.0
+        assert rc == 0 and err == "" and out
 
     def test_fan_reconstruct_past_the_element_bound(self, capsys, files, bases):
         fan = files("fan.json", {"dim": 3999, "rays": [], "cones": []})

@@ -70,6 +70,15 @@ def reference_validate(n, levels):
     return None
 
 
+def pairwise_rule(lines):
+    """The two lines ``from_lines`` names for lines inside the ground set of
+    2..n-1 elements: the first two, in the order given, that share two
+    elements; None when no two do."""
+    return next(
+        ((a, b) for a, b in combinations(map(frozenset, lines), 2) if len(a & b) > 1), None
+    )
+
+
 def corrupt(m, rng):
     """The levels of m with its rank-2 level dropped from, grown, shrunk,
     merged or added to at random, or left as they are; each level in the
@@ -190,6 +199,47 @@ class TestConstruction:
             mt.Matroid(4, tuple(tuple(frozenset(f) for f in level) for level in levels))
         assert str(exc.value) == "flats not closed under intersection: [0, 1], [1, 2, 3]"
 
+    def test_closure_scan_stops_at_the_first_violation(self):
+        # every triple of 40 points at rank 2: 9,880 flats, of which the first two
+        # already meet in two points
+        n = 40
+        levels = (
+            (frozenset(),),
+            tuple(frozenset([i]) for i in range(n)),
+            tuple(frozenset(c) for c in combinations(range(n), 3)),
+            (frozenset(range(n)),),
+        )
+        start = time.monotonic()
+        with pytest.raises(MatroidError) as exc:
+            mt.Matroid(n, levels)
+        assert time.monotonic() - start < 1.0
+        assert str(exc.value) == "flats not closed under intersection: [0, 1, 2], [0, 1, 3]"
+
+    def test_from_lines_names_the_lines_the_pairwise_rule_names(self):
+        # overlapping lines, two-element lines and repeated lines, in the order
+        # drawn and shuffled: the error names the pair the pairwise rule names
+        rng = random.Random(31)
+        seen = Counter()
+        for _ in range(3000):
+            n = rng.randint(3, 8)
+            lines = [rng.sample(range(n), rng.randint(2, n - 1)) for _ in range(rng.randint(1, 5))]
+            if rng.random() < 0.3:
+                lines.append(list(reversed(rng.choice(lines))))
+            for order in (lines, rng.sample(lines, len(lines))):
+                named = pairwise_rule(order)
+                try:
+                    m = mt.from_lines(n, order)
+                except MatroidError as exc:
+                    a, b = named
+                    assert str(exc) == f"lines {sorted(a)} and {sorted(b)} share two elements"
+                    kind = "repeat" if a == b else "overlap" if min(len(a), len(b)) > 2 else "two"
+                    seen[kind] += 1
+                    continue
+                assert named is None, (n, order)
+                assert set(map(frozenset, order)) <= set(m.flats(2))
+                seen["built"] += 1
+        assert set(seen) == {"repeat", "two", "overlap", "built"}, seen
+
     def test_from_lines_on_200_points_in_general_position(self):
         # the closure test is linear in the flats' sizes, not quadratic in their number
         start = time.monotonic()
@@ -277,6 +327,8 @@ class TestConstruction:
         assert len(calls) == 1
 
     def test_levels_in_canonical_order_are_not_sorted(self, monkeypatch, braid):
+        # the simple rank-3 builder emits its levels in canonical order; it sorts
+        # a level only to place two-element lines among the pairs
         calls = []
 
         def counted(flats):
@@ -288,16 +340,23 @@ class TestConstruction:
         for n in range(3, 8):
             mt.enumerate_simple_rank3(n)
         mt.from_lines(400, [])
-        assert calls == []
         levels = braid.flats_by_rank
         reversed2 = levels[:2] + (levels[2][::-1],) + levels[3:]
         assert mt.Matroid(6, reversed2).flats_by_rank == levels
-        assert calls == [levels[2][::-1]]
+        assert calls == []
+        assert mt.from_lines(4, [[1, 0]]).flats_by_rank == mt.uniform(3, 4).flats_by_rank
+        assert len(calls) == 1
         assert mt.enumerate_simple_rank3(5)[0].flats(1) is mt.from_lines(5, []).flats(1)
 
     def test_canonical_levels_are_kept_as_given(self, braid):
+        # a simple rank-3 lattice keeps its flats in canonical order, whatever
+        # order they come in, and shares the fixed levels of every such lattice
         levels = braid.flats_by_rank
-        assert all(a is b for a, b in zip(mt.Matroid(6, levels).flats_by_rank, levels))
+        fresh = tuple(tuple(frozenset(f) for f in level) for level in levels)
+        assert fresh[1] is not levels[1]
+        m = mt.Matroid(6, fresh)
+        assert m.flats_by_rank == levels
+        assert all(m.flats(r) is levels[r] for r in (0, 1, 3))
         m = mt.Matroid(6, tuple(tuple(reversed(level)) for level in levels))
         assert m == braid and m.flats_by_rank == levels
 
@@ -461,7 +520,10 @@ class TestEnumeration:
         counts = [len(mt.enumerate_simple_rank3(n)) for n in range(3, 8)]
         assert counts == [1, 5, 31, 352, 8389]
         assert calls == []
-        mt.from_lines(7, [])
+        # from_lines builds through the same checked builder; Matroid(...) validates
+        m = mt.from_lines(7, [])
+        assert calls == []
+        assert mt.Matroid(7, m.flats_by_rank) == m
         assert calls == [7]
 
     @pytest.mark.parametrize(
@@ -479,4 +541,4 @@ class TestEnumeration:
         with pytest.raises(
             MatroidError, match=r"^the rank-2 flats do not partition the pairs$"
         ):
-            mt._enumerated(n, lines, masks, frozenset)
+            mt._rank3(n, lines, masks, frozenset)
