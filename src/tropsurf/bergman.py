@@ -309,7 +309,7 @@ def reconstruct_matroid(rays, cones, dim, basis=None):
         # it does not contain (line-times-R); the rebuild check below
         # validates those.
     try:
-        m = mt.from_lines(dim + 1, set(lines))
+        m = mt.from_lines(dim + 1, list(dict.fromkeys(lines)))
     except MatroidError as exc:
         raise FanError(f"ray data is not a fan tropical plane: {exc}") from exc
     rebuilt = build_fan(m, basis)

@@ -5,17 +5,20 @@ A rank-3 simple matroid on elements 0..n-1 is the same data as a point
 configuration: elements play the role of lines of an arrangement, rank-2
 flats the role of intersection points.  It is a linear space: every pair of
 elements lies on exactly one rank-2 flat (Oxley, *Matroid Theory*, 1.5).  So
-the "big" rank-2 flats (size >= 3, the "lines") fix it, every pair of
-elements on no line is a two-element flat, and one count checks the axioms:
-the rank-2 flats hold n(n-1)/2 pairs between them.  ``from_lines``,
-``enumerate_simple_rank3`` and ``Matroid`` itself build every simple rank-3
-lattice through that count (``_rank3``); any other lattice is checked
-against the axioms one by one.
+the "big" rank-2 flats (size >= 3, the "lines") fix it, and every pair of
+elements on no line is a two-element flat.  A line's pair cover is the
+bitmask of the pairs inside it, bit k standing for the k-th pair of
+``combinations(range(n), 2)``; the axioms hold exactly when the lines' pair
+covers are disjoint, that is when their OR has as many bits as the lines hold
+pairs between them, and the two-element flats are the pairs whose bits are
+clear.  ``from_lines``, ``enumerate_simple_rank3`` and ``Matroid`` itself
+build every simple rank-3 lattice through that count (``_rank3``); any other
+lattice is checked against the axioms one by one.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, starmap
+from itertools import combinations, compress, starmap
 from operator import and_
 
 from ._frozen import frozen
@@ -39,6 +42,37 @@ def _fixed(n):
         levels = (frozenset(),), tuple(frozenset((i,)) for i in range(n)), (frozenset(range(n)),)
         fixed = _FIXED[n] = _bits(n), levels
     return fixed
+
+
+def _cover(n, f):
+    """The pair cover of f, a set of elements of range(n): bit k is set when
+    the k-th pair of ``combinations(range(n), 2)`` lies in f.  The pairs
+    (i, j) with j > i are row i of that order, which starts at bit
+    i(2n - i - 1)/2, so row i of the cover is the bitmask of f's elements
+    above i, shifted down past i."""
+    cover = above = 0
+    # elements may be ints of other types, such as NumPy's
+    for i in sorted(map(int, f), reverse=True):
+        cover |= above >> (i + 1) << (i * (2 * n - i - 1) // 2)
+        above |= 1 << i
+    return cover
+
+
+def _union(covers):
+    """``(cover, count)``: the OR of some pair covers and the number of bits
+    they hold between them.  The covers are disjoint exactly when cover has
+    count bits."""
+    cover = count = 0
+    for c in covers:
+        cover |= c
+        count += c.bit_count()
+    return cover, count
+
+
+def _pairs(n):
+    """The n(n-1)/2 two-element subsets of range(n) as frozensets, in
+    lexicographic order, made as they are read."""
+    return map(frozenset, combinations(range(n), 2))
 
 
 def _canon(flats):
@@ -90,11 +124,11 @@ class Matroid:
         # four levels on three or more elements are a simple rank-3 lattice
         # exactly when they hold the flats ``_rank3`` builds from their lines
         if n >= 3 and len(levels) == 4:
-            bit, ground = _fixed(n)[0], frozenset(range(n))
+            ground = frozenset(range(n))
             lines = sorted((f for f in levels[2] if 2 < len(f) < n and f <= ground), key=sorted)
-            masks = [sum(map(bit, f)) for f in lines]
+            cover, count = _union(_cover(n, f) for f in lines)
             try:
-                built = _rank3(n, lines, masks, frozenset).flats_by_rank
+                built = _rank3(n, lines, cover, count, _pairs(n)).flats_by_rank
             except MatroidError:
                 built = ()
             if built and all(len(a) == len(b) and set(a) == set(b) for a, b in zip(levels, built)):
@@ -141,10 +175,20 @@ class Matroid:
                         raise MatroidError(f"flat {sorted(f)} listed twice")
                     seen.add(m)
         # closure under intersection: the bottom and top flats meet any flat in a
-        # flat, so pairs of the ranks between are tested, up to the first failure
-        pairs = combinations([m for row in masks[1:-1] for m in row], 2)
+        # flat, and so does a singleton (in itself or the empty set), so pairs of
+        # the ranks between are tested, but for a rank-1 level of singletons, up to
+        # the first failure.  When that level holds all n singletons, rank-2 flats
+        # whose pair covers are disjoint meet in flats too, so four levels need no scan
+        low = 1
+        if all(len(f) == 1 for f in levels[1]):
+            low = 2
+            if len(levels) == 4 and len(levels[1]) == n:
+                cover, count = _union(_cover(n, f) for f in levels[2])
+                if cover.bit_count() == count:
+                    low = 3
+        pairs = combinations([m for row in masks[low:-1] for m in row], 2)
         if not all(map(seen.__contains__, starmap(and_, pairs))):
-            mid = [f for level in levels[1:-1] for f in level]
+            mid = [f for level in levels[low:-1] for f in level]
             f, g = next(p for p in combinations(mid, 2) if sum(map(bit, p[0] & p[1])) not in seen)
             raise MatroidError(f"flats not closed under intersection: {sorted(f)}, {sorted(g)}")
         _covers_and_ranks(levels, masks, (1 << n) - 1)
@@ -201,37 +245,40 @@ def from_lines(n, lines):
         if f == ground:
             raise MatroidError("a line equal to the ground set drops the rank")
         given.append(f)
-    bit = _fixed(n)[0]
-    big = sorted(given, key=sorted)
+    cover, count = _union(_cover(n, f) for f in given)
     try:
-        return _rank3(n, big, [sum(map(bit, f)) for f in big], frozenset)
+        return _rank3(n, sorted(given, key=sorted), cover, count, _pairs(n))
     except MatroidError:
         # name the first two lines, in the order given, that share two elements
         a, b = next(p for p in combinations(given, 2) if len(p[0] & p[1]) > 1)
         raise MatroidError(f"lines {sorted(a)} and {sorted(b)} share two elements") from None
 
 
-def _rank3(n, lines, masks, pair):
+# translates the binary digits of a pair cover to selectors of its clear bits
+_CLEAR = bytes.maketrans(b"01", b"\1\0")
+
+
+def _rank3(n, lines, cover, count, pairs):
     """The simple rank-3 matroid on range(n) whose rank-2 flats are the lines
     and the pairs of elements on none of them, built without
     ``Matroid.__post_init__``.
 
     ``lines`` are listed by sorted elements, each a frozenset of 2..n-1
-    elements of range(n) (repeats allowed), ``masks`` are their bitmasks and
-    ``pair`` makes the frozenset of a pair of elements.  Every pair of
-    elements lies on a rank-2 flat, so the lattice axioms hold exactly when
-    none lies on two, that is when the rank-2 flats hold n(n-1)/2 pairs
-    between them; otherwise ``MatroidError`` is raised.  The levels are in
-    canonical order, and the rank-0, rank-1 and top levels are ``_fixed``'s."""
-    near = [0] * n  # near[i]: the elements on a common line with i
-    for f, m in zip(lines, masks):
-        for i in f:
-            near[i] |= m
-    pairs = [pair(p) for p in combinations(range(n), 2) if not near[p[0]] >> p[1] & 1]
-    if len(pairs) + sum(len(f) * (len(f) - 1) // 2 for f in lines) != n * (n - 1) // 2:
+    elements of range(n) (repeats allowed).  ``cover`` is the OR of their
+    pair covers (``_cover``), ``count`` the number of pairs they hold between
+    them, and ``pairs`` yields the frozensets of the n(n-1)/2 pairs of
+    elements in lexicographic order.  Every pair of elements lies on a rank-2
+    flat, so the lattice axioms hold exactly when none lies on two lines,
+    that is when the pair covers are disjoint and cover has count bits;
+    otherwise ``MatroidError`` is raised.  The two-element flats are the
+    pairs whose bits are clear.  The levels are in canonical order, and the
+    rank-0, rank-1 and top levels are ``_fixed``'s."""
+    if cover.bit_count() != count:
         raise MatroidError("the rank-2 flats do not partition the pairs")
+    # bit k of cover is digit k from the right; the leading 1 keeps every digit
+    digits = format(cover | 1 << n * (n - 1) // 2, "b").encode()
     lines = sorted(lines, key=len)
-    level = pairs + lines
+    level = list(compress(pairs, digits.translate(_CLEAR)[:0:-1])) + lines
     if lines and len(lines[0]) == 2:  # two-element lines go among the pairs
         level = _canon(level)
     bottom, points, top = _fixed(n)[1]
@@ -419,27 +466,32 @@ def enumerate_simple_rank3(n):
     two-element flats with each other.
 
     Each lattice is built and checked by ``_rank3``, the one builder of
-    simple rank-3 matroids: its rank-2 flats must hold every pair of
-    elements once.  The families are listed by sorted elements, so no level
-    is sorted.
+    simple rank-3 matroids: the pair covers of its lines must be disjoint.
+    Each candidate line's pair cover is computed once per call, and the
+    backtracking carries the family's running cover and pair count, so a
+    matroid is built with no work per line.  The families are listed by
+    sorted elements, so no level is sorted.
     """
     if n < 3:
         raise MatroidError("rank 3 needs at least 3 elements")
     cands = [frozenset(c) for k in range(3, n) for c in combinations(range(n), k)]
     cands.sort(key=sorted)
-    bit = _fixed(n)[0]
-    masks = [sum(map(bit, f)) for f in cands]
-    # bit j of clash[i]: candidates i and j share two elements
-    clash = [sum(1 << j for j, b in enumerate(masks) if (a & b).bit_count() > 1) for a in masks]
+    covers = [_cover(n, f) for f in cands]
+    sizes = [c.bit_count() for c in covers]
+    # bit j of fits[i]: candidates i and j share no pair
+    fits = [sum(1 << j for j, b in enumerate(covers) if not a & b) for a in covers]
     # one frozenset per pair, shared by all matroids of this enumeration
-    pair = {p: frozenset(p) for p in combinations(range(n), 2)}.__getitem__
+    pairs = list(_pairs(n))
     out = []
 
-    def bt(start, fam, fam_masks, banned):
-        out.append(_rank3(n, fam, fam_masks, pair))
-        for i in range(start, len(cands)):
-            if not banned >> i & 1:
-                bt(i + 1, fam + [cands[i]], fam_masks + [masks[i]], banned | clash[i])
+    def bt(fam, cover, count, free):
+        # free: the candidates after the family's last that share no pair with it
+        out.append(_rank3(n, fam, cover, count, pairs))
+        while free:
+            low = free & -free
+            free ^= low
+            i = low.bit_length() - 1
+            bt(fam + [cands[i]], cover | covers[i], count + sizes[i], free & fits[i])
 
-    bt(0, [], [], 0)
+    bt([], 0, 0, (1 << len(cands)) - 1)
     return out

@@ -200,20 +200,32 @@ class TestConstruction:
         assert str(exc.value) == "flats not closed under intersection: [0, 1], [1, 2, 3]"
 
     def test_closure_scan_stops_at_the_first_violation(self):
-        # every triple of 40 points at rank 2: 9,880 flats, of which the first two
-        # already meet in two points
-        n = 40
-        levels = (
-            (frozenset(),),
-            tuple(frozenset([i]) for i in range(n)),
-            tuple(frozenset(c) for c in combinations(range(n), 3)),
-            (frozenset(range(n)),),
-        )
+        # every triple of n points at rank 2 (9,880 flats at n = 40, 54,740 at
+        # n = 70), of which the first two already meet in two points; no pair
+        # with a rank-1 singleton is scanned before them
+        for n in (40, 70):
+            levels = (
+                (frozenset(),),
+                tuple(frozenset([i]) for i in range(n)),
+                tuple(frozenset(c) for c in combinations(range(n), 3)),
+                (frozenset(range(n)),),
+            )
+            start = time.monotonic()
+            with pytest.raises(MatroidError) as exc:
+                mt.Matroid(n, levels)
+            assert time.monotonic() - start < 1.0
+            assert str(exc.value) == "flats not closed under intersection: [0, 1, 2], [0, 1, 3]"
+
+    def test_a_dropped_pair_is_named_without_a_closure_scan(self):
+        # U_{3,100} without the pair {0, 1}: the rank-2 flats' pair covers are
+        # disjoint, so no two of the 4,949 flats are intersected
+        levels = mt.uniform(3, 100).flats_by_rank
+        dropped = levels[:2] + (levels[2][1:],) + levels[3:]
         start = time.monotonic()
         with pytest.raises(MatroidError) as exc:
-            mt.Matroid(n, levels)
-        assert time.monotonic() - start < 1.0
-        assert str(exc.value) == "flats not closed under intersection: [0, 1, 2], [0, 1, 3]"
+            mt.Matroid(100, dropped)
+        assert time.monotonic() - start < 0.2
+        assert str(exc.value) == "covers of [0] do not partition the rest"
 
     def test_from_lines_names_the_lines_the_pairwise_rule_names(self):
         # overlapping lines, two-element lines and repeated lines, in the order
@@ -503,6 +515,17 @@ class TestEnumeration:
                 assert all(m.flats(r) is first[r] for r in (0, 1, 3))
             assert len({id(m.flats(2)) for m in ms}) == len(ms)
 
+    def test_matroids_share_their_two_element_flats(self, all_small_matroids):
+        # within one enumeration each pair of elements is one frozenset, held by
+        # every matroid in which it is a flat
+        for n in range(3, 8):
+            shared = {}
+            for m in (m for m in all_small_matroids if m.n == n):
+                for f in m.flats(2):
+                    if len(f) == 2:
+                        assert shared.setdefault(f, f) is f
+            assert len(shared) == n * (n - 1) // 2
+
     def test_all_simple_rank3(self):
         for m in mt.enumerate_simple_rank3(5):
             assert m.rank == 3
@@ -537,8 +560,21 @@ class TestEnumeration:
     )
     def test_enumerated_lattices_must_partition_the_pairs(self, n, lines):
         lines = [frozenset(f) for f in lines]
-        masks = [sum(1 << i for i in f) for f in lines]
+        cover, count = mt._union(mt._cover(n, f) for f in lines)
         with pytest.raises(
             MatroidError, match=r"^the rank-2 flats do not partition the pairs$"
         ):
-            mt._rank3(n, lines, masks, frozenset)
+            mt._rank3(n, lines, cover, count, mt._pairs(n))
+
+    def test_pair_cover_bits_follow_the_pair_order(self):
+        # bit k of a pair cover is the k-th pair of combinations(range(n), 2)
+        rng = random.Random(5)
+        for n in range(2, 13):
+            order = list(combinations(range(n), 2))
+            for k, p in enumerate(order):
+                assert mt._cover(n, p) == 1 << k
+            for _ in range(20):
+                f = set(rng.sample(range(n), rng.randint(0, n)))
+                assert mt._cover(n, f) == sum(1 << k for k, p in enumerate(order) if set(p) <= f)
+            assert mt._cover(n, range(n)) == (1 << len(order)) - 1
+            assert list(mt._pairs(n)) == list(map(frozenset, order))
