@@ -312,14 +312,13 @@ def reconstruct_matroid(rays, cones, dim, basis=None):
         m = mt.from_lines(dim + 1, list(dict.fromkeys(lines)))
     except MatroidError as exc:
         raise FanError(f"ray data is not a fan tropical plane: {exc}") from exc
+    # a ray's decoded flat F is the one flat whose direction u_F it has, so
+    # comparing flats compares directions; input indexing may differ
     rebuilt = build_fan(m, basis)
-    got = sorted(r.direction for r in rebuilt.rays)
-    want = sorted(tuple(int(x) for x in v) for v in rays)
-    if got != want:
+    ray_pos = {f: k for k, f in enumerate(flats)}
+    if ray_pos.keys() != {r.flat for r in rebuilt.rays}:
         raise FanError("reconstructed matroid does not reproduce the rays")
-    # compare cones through ray directions, input indexing may differ
-    ray_pos = {tuple(int(x) for x in v): k for k, v in enumerate(rays)}
-    relabel = {k: ray_pos[r.direction] for k, r in enumerate(rebuilt.rays)}
+    relabel = [ray_pos[r.flat] for r in rebuilt.rays]
     pairs = sorted(tuple(sorted((relabel[c.i], relabel[c.j]))) for c in rebuilt.cones)
     given = sorted(tuple(sorted((int(i), int(j)))) for i, j in cones)
     if pairs != given:

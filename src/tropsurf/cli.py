@@ -391,6 +391,21 @@ def cmd_homology_pairing(args):
 
 # -- wiring ------------------------------------------------------------------
 
+# verb -> (help, {subcommand: (required options, optional options)}), in the
+# order `--help` lists them.  The handler of `verb sub` is cmd_<verb>_<sub>,
+# looked up when the parser is built, so a rebound module attribute (a
+# tracing wrapper, say) is the one called.
+COMMANDS = {
+    "matroid": ("matroid queries", {"info": (("--matroid",), ())}),
+    "fan": ("fan tropical planes", {"build": (("--matroid",), ()), "reconstruct": (("--fan",), ())}),
+    "cycle": ("fan 1-cycles", {"degree": (("--cycle",), ("--matroid",))}),
+    "intersect": ("intersection numbers", {"bezout": (("--matroid", "--cycle", "--cycle2"), ())}),
+    "surface": ("surface invariant calculus", {"check": (("--expr",), ())}),
+    "homology": ("cosheaf homology", {
+        "diamond": (("--complex",), ()), "pairing": (("--complex", "--cycles"), ()),
+    }),
+}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -402,59 +417,15 @@ def build_parser():
     common.add_argument("--json", action="store_true", help="JSON output")
     common.add_argument("--out", metavar="PATH", help="write the report to a file")
     verbs = parser.add_subparsers(dest="verb", required=True)
-
-    p = verbs.add_parser("matroid", help="matroid queries").add_subparsers(
-        dest="sub", required=True
-    )
-    q = p.add_parser("info", parents=[common])
-    q.add_argument("--matroid", required=True)
-    q.set_defaults(func=cmd_matroid_info)
-
-    p = verbs.add_parser("fan", help="fan tropical planes").add_subparsers(
-        dest="sub", required=True
-    )
-    q = p.add_parser("build", parents=[common])
-    q.add_argument("--matroid", required=True)
-    q.set_defaults(func=cmd_fan_build)
-    q = p.add_parser("reconstruct", parents=[common])
-    q.add_argument("--fan", required=True)
-    q.set_defaults(func=cmd_fan_reconstruct)
-
-    p = verbs.add_parser("cycle", help="fan 1-cycles").add_subparsers(
-        dest="sub", required=True
-    )
-    q = p.add_parser("degree", parents=[common])
-    q.add_argument("--cycle", required=True)
-    q.add_argument("--matroid")
-    q.set_defaults(func=cmd_cycle_degree)
-
-    p = verbs.add_parser("intersect", help="intersection numbers").add_subparsers(
-        dest="sub", required=True
-    )
-    q = p.add_parser("bezout", parents=[common])
-    q.add_argument("--matroid", required=True)
-    q.add_argument("--cycle", required=True)
-    q.add_argument("--cycle2", required=True)
-    q.set_defaults(func=cmd_intersect_bezout)
-
-    p = verbs.add_parser("surface", help="surface invariant calculus").add_subparsers(
-        dest="sub", required=True
-    )
-    q = p.add_parser("check", parents=[common])
-    q.add_argument("--expr", required=True)
-    q.set_defaults(func=cmd_surface_check)
-
-    p = verbs.add_parser("homology", help="cosheaf homology").add_subparsers(
-        dest="sub", required=True
-    )
-    q = p.add_parser("diamond", parents=[common])
-    q.add_argument("--complex", required=True)
-    q.set_defaults(func=cmd_homology_diamond)
-    q = p.add_parser("pairing", parents=[common])
-    q.add_argument("--complex", required=True)
-    q.add_argument("--cycles", required=True)
-    q.set_defaults(func=cmd_homology_pairing)
-
+    for verb, (help_text, subs) in COMMANDS.items():
+        p = verbs.add_parser(verb, help=help_text).add_subparsers(dest="sub", required=True)
+        for sub, (required, optional) in subs.items():
+            q = p.add_parser(sub, parents=[common])
+            for option in required:
+                q.add_argument(option, required=True)
+            for option in optional:
+                q.add_argument(option)
+            q.set_defaults(func=globals()[f"cmd_{verb}_{sub}"])
     return parser
 
 

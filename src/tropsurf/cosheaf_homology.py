@@ -40,6 +40,8 @@ from .intlinalg import (
 # of the 35 x 35 middle exterior power.
 # The bundled complexes have rank at most 3.
 MAX_F1_RANK = 6
+# A cell spans at most its F_1 lattice, and the diamond has a column per dimension.
+MAX_CELL_DIM = MAX_F1_RANK
 
 
 @frozen
@@ -222,6 +224,8 @@ def parse_complex(obj, where=""):
         at = f"{pre}cells[{k}]"
         cell_id = str(field(c, "id", at, ComplexError))
         dim = integer(field(c, "dim", at, ComplexError), f"{at}.dim", ComplexError)
+        if not 0 <= dim <= MAX_CELL_DIM:
+            raise ComplexError(f"{at}.dim must be between 0 and {MAX_CELL_DIM}, got {dim}")
         cells.append(Cell(cell_id, dim))
     if not cells:
         raise ComplexError(f"{pre}'cells' is empty")

@@ -119,18 +119,10 @@ def positive_decomposition(basis, v):
 
 
 def degree(cycle, basis):
-    """deg(C) = sum_e w_e r_e(i); checked to be the same for every i."""
+    """deg(C) = sum_e w_e r_e(0).  Balancing makes sum_e w_e r_e(i) the same
+    for every i: their differences are the coordinates of sum_e w_e d_e."""
     require_balanced(cycle)
-    if not cycle.rays:
-        return 0
-    totals = [0] * (cycle.dim + 1)
-    for d, w in cycle.rays:
-        r = positive_decomposition(basis, d)
-        for i in range(cycle.dim + 1):
-            totals[i] += w * r[i]
-    if len(set(totals)) != 1:
-        raise CycleError(f"degree depends on the coordinate: {totals}")
-    return totals[0]
+    return sum(w * positive_decomposition(basis, d)[0] for d, w in cycle.rays)
 
 
 def lies_in(cycle, plane):

@@ -146,25 +146,13 @@ class Fan2D:
         return len(self.rays)
 
     def self_intersections(self):
-        """D_i^2 = -a_i where v_{i-1} + v_{i+1} = a_i v_i."""
-        out = []
-        n = self.n
-        for i in range(n):
-            s = tuple(
-                self.rays[(i - 1) % n][k] + self.rays[(i + 1) % n][k]
-                for k in range(2)
-            )
-            v = self.rays[i]
-            if v[0] != 0:
-                a, rem = divmod(s[0], v[0])
-                ok = rem == 0 and s[1] == a * v[1]
-            else:
-                a, rem = divmod(s[1], v[1])
-                ok = rem == 0 and s[0] == a * v[0]
-            if not ok:
-                raise SurfaceError("neighbour sum not a multiple of the ray")
-            out.append(-a)
-        return tuple(out)
+        """D_i^2 = -a_i where v_{i-1} + v_{i+1} = a_i v_i; as
+        det(v_{i-1}, v_i) = 1, a_i = det(v_{i-1}, v_{i+1})."""
+        r, n = self.rays, self.n
+        return tuple(
+            r[i - 1][1] * r[(i + 1) % n][0] - r[i - 1][0] * r[(i + 1) % n][1]
+            for i in range(n)
+        )
 
     def star_subdivide(self, i):
         """Insert v_i + v_{i+1} between rays i and i+1."""

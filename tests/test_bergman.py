@@ -320,6 +320,24 @@ class TestReconstruction:
             f"ray data is not a fan tropical plane: lines {lines} share two elements"
         )
 
+    def test_a_missing_cone_is_not_reproduced(self, u34):
+        plane = bg.build_fan(u34)
+        rays = [r.direction for r in plane.rays]
+        cones = [(c.i, c.j) for c in plane.cones if (c.i, c.j) != (0, 1)]
+        assert len(cones) == len(plane.cones) - 1
+        with pytest.raises(FanError, match="^reconstructed matroid does not reproduce the cones$"):
+            bg.reconstruct_matroid(rays, cones, 3)
+
+    def test_a_missing_ray_is_not_reproduced(self, u34):
+        # u_3 and its cones dropped: the lines {0,1}, {0,2}, {1,2} still
+        # give U_{3,4}, whose fan has the ray u_3
+        plane = bg.build_fan(u34)
+        assert plane.rays[3].direction == bg.standard_basis(3).direction([3])
+        rays = [r.direction for r in plane.rays[:3]]
+        cones = [(c.i, c.j) for c in plane.cones if 3 not in (c.i, c.j)]
+        with pytest.raises(FanError, match="^reconstructed matroid does not reproduce the rays$"):
+            bg.reconstruct_matroid(rays, cones, 3)
+
     @settings(max_examples=30, deadline=None)
     @given(matroids)
     def test_roundtrip_random(self, m):

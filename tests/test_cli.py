@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import tropsurf
 from tropsurf import cli
-from tropsurf.cosheaf_homology import MAX_F1_RANK, parse_complex
+from tropsurf.cosheaf_homology import MAX_CELL_DIM, MAX_F1_RANK, parse_complex
 
 from conftest import data_path, load_data
 
@@ -491,6 +491,11 @@ class TestErrors:
             ),
             (
                 DIAMOND,
+                {"cells": [{"id": "a", "dim": -1}], "incidences": []},
+                f"cells[0].dim must be between 0 and {MAX_CELL_DIM}, got -1",
+            ),
+            (
+                DIAMOND,
                 {"cells": [{"id": "x", "dim": 0}], "f1_rank": {"x": -1}, "incidences": []},
                 "f1_rank.x must be an integer >= 0, got -1",
             ),
@@ -595,6 +600,7 @@ class TestErrors:
             "complex-no-cells",
             "complex-empty-cells",
             "complex-string-dim",
+            "complex-negative-dim",
             "complex-negative-rank",
             "complex-string-sign",
             "complex-flat-iota1",
@@ -918,6 +924,25 @@ class TestWorkBoundedByInput:
         assert time.monotonic() - start < 5.0
         assert rc == 0 and err == ""
 
+    def test_complex_past_the_cell_dim_bound(self, capsys, files):
+        # a column of the diamond per dimension, were it answered
+        k = files("k.json", {"cells": [{"id": "a", "dim": 100000}], "incidences": []})
+        start = time.monotonic()
+        rc, out, err = run(capsys, DIAMOND + [k])
+        assert time.monotonic() - start < 1.0
+        assert rc == 1 and out == ""
+        assert err == f"error: {k}: cells[0].dim must be between 0 and {MAX_CELL_DIM}, got 100000\n"
+
+    def test_complex_at_the_cell_dim_bound(self, capsys, files):
+        assert MAX_CELL_DIM >= 2  # admits the cells of every surface
+        k = files("k.json", {"cells": [{"id": "v", "dim": 0}, {"id": "a", "dim": MAX_CELL_DIM}],
+                             "incidences": []})
+        rc, out, err = run(capsys, DIAMOND + [k])
+        assert rc == 0 and err == ""
+        assert out.splitlines()[-1] == "  ".join(
+            f"H(0,{q}) = {'Z' if q in (0, MAX_CELL_DIM) else 0}"
+            for q in range(MAX_CELL_DIM + 1))
+
     def test_cycle_degree_without_rays(self, capsys, files, bases):
         cycle = files("cycle.json", {"dim": 80, "rays": []})
         rc, out, _ = run(capsys, ["cycle", "degree", "--json", "--cycle", cycle])
@@ -1015,6 +1040,51 @@ class TestImportFootprint:
             "    raise SystemExit('tropsurf.nope did not raise AttributeError')"
         )
         assert "tropsurf.bergman" in self.modules_after(code)
+
+
+def _listed_commands(text):
+    """(verb, subcommand, required options, optional options) of each line
+    of ``text`` that starts with ``tropsurf``; --out and --json are left
+    out, and an option in brackets is optional."""
+    out = []
+    for line in text.splitlines():
+        words = line.split()
+        if words[:1] != ["tropsurf"]:
+            continue
+        options = [w for w in words[3:]
+                   if w.lstrip("[").startswith("--") and w.lstrip("[") not in ("--out", "--json")]
+        out.append((words[1], words[2],
+                    tuple(w for w in options if not w.startswith("[")),
+                    tuple(w[1:] for w in options if w.startswith("["))))
+    return out
+
+
+class TestCommandTable:
+    """``cli.COMMANDS`` drives the parser, and the module docstring and
+    README "Command line" list exactly its subcommands, in its order, with
+    its options."""
+
+    TABLE = [(verb, sub, required, optional)
+             for verb, (_, subs) in cli.COMMANDS.items()
+             for sub, (required, optional) in subs.items()]
+
+    def test_module_docstring(self):
+        assert _listed_commands(cli.__doc__) == self.TABLE
+
+    def test_each_subcommand_calls_its_module_handler(self, capsys, monkeypatch):
+        called = []
+        for verb, sub, _, _ in self.TABLE:
+            monkeypatch.setattr(cli, f"cmd_{verb}_{sub}",
+                                lambda args: called.append((args.verb, args.sub)))
+        for verb, sub, required, _ in self.TABLE:
+            argv = [verb, sub] + [w for option in required for w in (option, "x.json")]
+            assert cli.main(argv) == 0
+        assert called == [(verb, sub) for verb, sub, _, _ in self.TABLE]
+
+    def test_readme(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        assert _listed_commands(block) == self.TABLE
 
 
 def test_complex_data_files_are_valid():

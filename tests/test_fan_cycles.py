@@ -14,6 +14,7 @@ from tropsurf import fan_cycles as fc
 from tropsurf.errors import CycleError
 
 from cycle_gen import generators, random_cycle
+from test_bergman import random_unimodular_basis
 from test_matroid import matroids
 
 CONIC = fc.FanCycle(3, (((-2, -1, 0), 1), ((1, 0, 1), 1), ((1, 1, -1), 1)))
@@ -64,6 +65,20 @@ class TestDegree:
         b = plane.basis
         assert fc.degree(c1 + c2, b) == fc.degree(c1, b) + fc.degree(c2, b)
         assert fc.degree(c1.scale(3), b) == 3 * fc.degree(c1, b)
+
+    def test_every_coordinate_total_is_the_degree(self, library_matroids):
+        # balancing makes sum_e w_e r_e(i) the same for every i, in the
+        # standard basis of each library plane and in random unimodular bases
+        rng = random.Random(7)
+        for m in library_matroids.values():
+            for basis in (None, random_unimodular_basis(rng, m.n - 1)):
+                plane = bg.build_fan(m, basis)
+                gens = generators(plane)
+                for _ in range(20):
+                    c = random_cycle(plane, rng, gens)
+                    totals = {sum(w * fc.positive_decomposition(plane.basis, d)[i]
+                                  for d, w in c.rays) for i in range(m.n)}
+                    assert totals == {fc.degree(c, plane.basis)}
 
 
 class TestCanonicalCycle:

@@ -93,6 +93,19 @@ class TestFan2D:
         assert fan.rays == ((1, 0), (1, 1), (0, 1), (-1, -1))
         assert fan.self_intersections() == (0, -1, 0, 1)
 
+    def test_self_intersections_satisfy_the_defining_relation(self):
+        # v_{i-1} + v_{i+1} = -D_i^2 v_i on seeded subdivisions of TP^2 and F_k
+        rng = random.Random(11)
+        for _ in range(300):
+            k = rng.randint(-5, 4)
+            fan = sc.tp2_fan() if k == -5 else sc.hirzebruch_fan(k)
+            for _ in range(rng.randint(0, 6)):
+                fan = fan.star_subdivide(rng.randrange(fan.n))
+            r, n = fan.rays, fan.n
+            for i, s in enumerate(fan.self_intersections()):
+                assert tuple(a + b for a, b in zip(r[i - 1], r[(i + 1) % n])) == tuple(
+                    -s * x for x in r[i])
+
 
 class TestToric:
     def test_tp2(self):
